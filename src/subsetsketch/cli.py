@@ -47,7 +47,7 @@ from .setsystem import (
     hh_dim_greedy_lower,
     read_sets_file,
 )
-from .streams import gen_stream, parse_stream_lines, read_stream_file
+from .streams import check_insertion, gen_stream, parse_stream_lines, read_stream_file
 from .subset_l0 import L0UniversalSketch
 
 EXIT_OK = 0
@@ -151,6 +151,9 @@ def cmd_build(args) -> int:
 
     seed = derive_seed(args.seed, "build", args.sketch)
     try:
+        if model == "insertion":
+            for _, v in stream.updates:
+                check_insertion(v)
         if args.sketch == "l0":
             sk = L0UniversalSketch(system, args.eps, seed)
             for c, _ in stream.updates:

@@ -182,6 +182,17 @@ class AlphaInverseSource:
         idx = rows.astype(np.uint64) * _U64(self.n_max) + coords.astype(np.uint64)
         return self.transform(self.hash.values(idx))
 
+    def row_shifts(self, rows: np.ndarray) -> np.ndarray:
+        """a * row * n_max mod p for each row.
+
+        The pair encoding row * n_max + i is affine in the row, so the hash
+        of (row, i) is (h(i) + shift) mod p: with the shifts of a fixed set of
+        rows at hand, each coordinate is hashed once for all of them.
+        """
+        x = self.hash.values(np.asarray(rows, dtype=np.uint64) * _U64(self.n_max))
+        x += _U64(_M61 - self.hash.b)
+        return np.minimum(x, x - _U64(_M61))
+
     def transform(self, hvals: np.ndarray) -> np.ndarray:
         """Map raw hash values to scalers; exposed so callers can reuse hashes."""
         u = (hvals.astype(np.float64) + 1.0) * 2.0**-61

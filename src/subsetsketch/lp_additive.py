@@ -2,8 +2,10 @@
 
 Every coordinate i is scaled by k integer scalers X_{1,i}..X_{k,i} drawn
 pairwise-independently from the heavy-tailed inverse-power law with exponent
-p, and the k*n virtual coordinates (r, i) are fed through one linear
-count-sketch.  For any subset s the floor(k/2)-th largest estimated magnitude
+p, and the k*n virtual coordinates (r, i), keyed (r-1)*n + i, are fed through
+one linear count-sketch.  The count-sketch hashes each coordinate i once per
+depth row and adds the hashed offset (r-1)*n of each scaler row r; the scaler
+hash likewise hashes i once and adds a per-row shift.  For any subset s the floor(k/2)-th largest estimated magnitude
 among the k*|s| virtual entries, scaled by 2^(-1/p), lands within an additive
 eps * ||v||_p of ||v o s||_p with constant probability.  One update pass
 serves every subset; no set system is declared up front.
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from functools import cached_property
 
 import numpy as np
 
-from .count_sketch import P31, CountSketch, sketch_dimensions
+from .count_sketch import P31, CountSketch, OffsetTable, sketch_dimensions
 from .errors import UniverseTooLarge
-from .hashing import AlphaInverseSource
+from .hashing import MERSENNE61, AlphaInverseSource
 from .rng import derive_seed
 
 
@@ -85,6 +88,18 @@ class LpSetSketch:
         self.cs = CountSketch(k * n, width, depth, derive_seed(seed, "counters"))
         self._rows = np.arange(1, k + 1, dtype=np.uint64)
 
+    # The two per-row tables below are built on first use, not in the
+    # constructor, where they would add to the cost of every sketch made.
+
+    @cached_property
+    def _scaler_shifts(self) -> np.ndarray:
+        return self.x_source.row_shifts(self._rows)[:, None]
+
+    @cached_property
+    def _offsets(self) -> OffsetTable:
+        # virtual coordinate of (r, i) is (r-1)*n + i, in [1, k*n]
+        return self.cs.offset_table((self._rows - np.uint64(1)) * np.uint64(self.n))
+
     # -- scalers -----------------------------------------------------------------
 
     def scalers_for(self, coords) -> np.ndarray:
@@ -92,11 +107,8 @@ class LpSetSketch:
         c = np.asarray(coords, dtype=np.uint64)
         if c.size and (c.min() < 1 or c.max() > self.n):
             raise ValueError("coordinate outside [1, n]")
-        return self.x_source.values(self._rows[:, None], c[None, :])
-
-    def _virtual(self, coords: np.ndarray) -> np.ndarray:
-        # virtual coordinate of (r, i) is (r-1)*n + i, in [1, k*n]
-        return ((self._rows - np.uint64(1))[:, None] * np.uint64(self.n) + coords[None, :]).ravel()
+        h = self.x_source.hash.values(c.ravel()) + self._scaler_shifts
+        return self.x_source.transform(np.minimum(h, h - np.uint64(MERSENNE61)))
 
     # -- updates -----------------------------------------------------------------
 
@@ -117,7 +129,7 @@ class LpSetSketch:
         if c.size == 0:
             return
         x = self.scalers_for(c)
-        self.cs.update_many(self._virtual(c), (x * d[None, :]).ravel())
+        self.cs.update_many(c, x * d[None, :], self._offsets)
 
     def update_dense(self, values) -> None:
         """Ingest a whole length-n vector (equivalent to n single updates)."""
@@ -145,7 +157,7 @@ class LpSetSketch:
         coords = self._subset_coords(s)
         if coords.size == 0:
             return 0.0
-        est = self.cs.estimate_many(self._virtual(coords))
+        est = self.cs.estimate_many(coords, self._offsets)
         z = selection_statistic(np.abs(est), self.k)
         return 2.0 ** (-1.0 / self.p) * z
 

@@ -32,6 +32,14 @@ MODELS = ("insertion", "turnstile", "entrywise")
 MAX_STREAM_LENGTH = 10**7
 
 
+def check_insertion(value: float) -> None:
+    """The insertion model's rule: every increment is a positive integer."""
+    if not math.isfinite(value) or value != int(value) or value < 1:
+        raise ModelMismatch(
+            f"insertion model takes positive integer increments, got {value}"
+        )
+
+
 class ExactVector:
     """Sparse accumulated vector with its stream model tag."""
 
@@ -50,10 +58,7 @@ class ExactVector:
         if not 1 <= coord <= self.n:
             raise ValueError(f"coordinate {coord} outside [1, {self.n}]")
         if self.model == "insertion":
-            if value != int(value) or value < 1:
-                raise ModelMismatch(
-                    f"insertion model takes positive integer increments, got {value}"
-                )
+            check_insertion(value)
             self.values[coord] = self.values.get(coord, 0.0) + value
         elif self.model == "turnstile":
             if not math.isfinite(value):

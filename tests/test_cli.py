@@ -117,6 +117,21 @@ def test_negative_insertion_rejected(tmp_path, sets_file):
     assert rc == 3
 
 
+@pytest.mark.parametrize("sketch", ["l0", "l1", "lp-additive"])
+@pytest.mark.parametrize("line", ["3 -1", "3 2.5", "3 0", "3 inf"])
+def test_insertion_increment_rule_in_build(tmp_path, sets_file, sketch, line):
+    # every kind that reads an insertion stream holds it to ExactVector's
+    # rule: a positive integer increment
+    sets_path, _ = sets_file
+    spath = _write_stream(tmp_path, "bad.txt",
+                          ["# model=insertion n=40", "3", line])
+    out = tmp_path / "x.json"
+    rc = main(["build", "--sketch", sketch, "--stream", spath,
+               "--sets", sets_path, "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path, sets_file):
     sets_path, _ = sets_file
     spath = _write_stream(tmp_path, "bad.txt", ["1 2 3 4"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -169,3 +170,63 @@ def test_empty_batches_are_no_ops():
     cs.update_many([], [])
     assert not cs.counters.any()
     assert cs.estimate_many([]).size == 0
+
+
+def test_golden_batch():
+    # sha256 of the counters after a large (bincount) and a small (add.at)
+    # batch, and of the estimates' magnitudes, from fixed seeds
+    cs = CountSketch(1000, 301, 7, seed=5)
+    rng = np.random.default_rng(3)
+    cs.update_many(rng.integers(1, 1001, size=300), rng.standard_normal(300))
+    cs.update_many(rng.integers(1, 1001, size=5), rng.standard_normal(5))
+    est = np.abs(cs.estimate_many(np.arange(1, 1001)))
+    assert hashlib.sha256(cs.counters.tobytes()).hexdigest() == \
+        "775a38069f4c1911667d23c0c7f38b3011581789e6a38760dedeb9fd3926bab3"
+    assert hashlib.sha256(est.tobytes()).hexdigest() == \
+        "a47628684cc7d990e9218274756168822286a578ba48516c7d4f711463347776"
+
+
+def _reference_rows(cs, keys):
+    # per-row signed counters of each key, hashed with Python integers
+    rows = np.empty((cs.depth, len(keys)))
+    for r in range(cs.depth):
+        ba, bb, sa, sb = (int(x[r, 0]) for x in (cs._ba, cs._bb, cs._sa, cs._sb))
+        for j, key in enumerate(keys):
+            bucket = (ba * key + bb) % P31 % cs.width
+            sign = 1.0 - 2.0 * ((sa * key + sb) % P31 % 2)
+            rows[r, j] = cs.counters[r, bucket] * sign
+    return rows
+
+
+@pytest.mark.parametrize("width", [13, 8009])  # rows one by one, all at once
+@pytest.mark.parametrize("depth", [1, 3, 7, 9, 15])
+def test_estimate_is_median_of_rows(depth, width):
+    cs = CountSketch(500, width, depth, seed=depth)
+    rng = np.random.default_rng(depth)
+    # few distinct small values: ties and zeros in every column
+    cs.counters[:] = rng.integers(-2, 3, size=cs.counters.shape)
+    keys = list(range(1, 501))
+    want = np.abs(np.median(_reference_rows(cs, keys), axis=0))
+    assert np.array_equal(np.abs(cs.estimate_many(keys)), want)
+
+    # keys given as offsets plus base coordinates hash as the keys themselves
+    table = cs.offset_table([0, 100, 250])
+    est = cs.estimate_many([1, 7, 250], table).reshape(3, 3)
+    for i, c in enumerate([1, 7, 250]):
+        for j, off in enumerate([0, 100, 250]):
+            assert abs(est[i, j]) == want[off + c - 1]
+
+
+def test_offset_keys_range_checked():
+    cs = CountSketch(100, 32, 3, seed=4)
+    table = cs.offset_table([0, 60])
+    cs.update_many([40], [[1.0], [2.0]], table)  # keys 40 and 100
+    for bad in ([0], [41], [1, 41]):
+        with pytest.raises(ValueError):
+            cs.update_many(bad, np.ones((2, len(bad))), table)
+        with pytest.raises(ValueError):
+            cs.estimate_many(bad, table)
+    with pytest.raises(ValueError):
+        cs.offset_table([0, 100])  # no coordinate fits above offset 100
+    with pytest.raises(ValueError):
+        cs.update_many([1, 2], [1.0, 2.0], table)  # one delta per key needed

@@ -1,5 +1,6 @@
 """State-file round trips: a loaded sketch must be bit-identical in behavior."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,49 @@ def test_lp_round_trip(tmp_path):
     lk.update_many(more_c, more_d)
     assert np.array_equal(lk.cs.counters, sk.cs.counters)
     assert lk.query(s) == sk.query(s)
+
+
+# sha256 of the counters and the exact answers of sketches built with fixed
+# seeds; they pin the hashing, the update paths and the median so that state
+# files written earlier load and answer the same under FORMAT_VERSION
+GOLDEN_LP = {
+    (0.5, 64): ("98c89cb783af76f479618040ed523f04a2425eca431163d9d9d6ae301c16db86",
+                11.89496329573596, 11.894963295735963),
+    (1.0, 64): ("f7cc4451f455e98ccde2cd8a3d6814a65c5eaf203217d7a59e30ff7bfa070a3b",
+                2.579414518948265, 2.579414518948265),
+    (2.0, 64): ("927b938801662553486e488b52cb33a07b901d855093a00bce09788fa23d1986",
+                1.5589155446886256, 1.5589155446886256),
+    (1.0, None): ("a0e11f2c46caa7c1fe925fcb9137d2cb0356d6490e3aea8477e0b402db072143",
+                  2.572079423541711, 2.572079423541711),
+}
+
+
+@pytest.mark.parametrize("p,k", list(GOLDEN_LP))
+def test_lp_golden_state_and_answers(tmp_path, p, k):
+    n = 40
+    sk = LpSetSketch(n, p, 0.45, seed=29, k=k)
+    rng = np.random.default_rng(7)
+    coords = rng.integers(1, n + 1, size=30)
+    deltas = rng.standard_normal(30)
+    dense = np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0)
+    for c, d in zip(coords[:10], deltas[:10]):
+        sk.update(int(c), float(d))
+    sk.update_many(coords[10:], deltas[10:])
+    sk.update_dense(dense)
+    values = dense.copy()
+    np.add.at(values, coords - 1, deltas)
+
+    digest, answer, exact = GOLDEN_LP[(p, k)]
+    s = [3, 5, 8, 13, 21, 34]
+    bits = np.zeros(n, dtype=bool)
+    bits[np.array(s) - 1] = True
+    path = tmp_path / "lp.json"
+    save_sketch(sk, path)
+    for sketch in (sk, load_sketch(path)):
+        assert hashlib.sha256(sketch.cs.counters.tobytes()).hexdigest() == digest
+        assert sketch.query(s) == answer
+        assert sketch.query(bits) == answer
+        assert sketch.query_exact(s, values) == exact
 
 
 def test_header_fields(tmp_path):
