@@ -15,7 +15,9 @@ Two backends:
 
 * explicit systems: per-set intersection counts, plus for every kept
   coordinate a slack counter (how many of its sets are still at or below
-  the budget); slack hitting zero queues the coordinate for eviction.
+  the budget); slack hitting zero queues the coordinate for eviction.  A
+  query that `subset_l0.resolve_member` tagged with its set id
+  (`MemberCoords`) is answered from that id without a lookup.
 * interval systems: neededness reduces to windows of the minimum member
   length, since any member interval through i contains such a window
   through i and the window is itself a member.  Window counts live in one
@@ -247,6 +249,8 @@ class _ExplicitState:
     def intersection_count(self, q) -> int:
         if self.system.n == 0:
             return 0
+        if getattr(q, "system", None) is self.system:
+            return len(self.members[q.sid])
         sid = self.system.member_id(q)
         if sid is not None:
             return len(self.members[sid])

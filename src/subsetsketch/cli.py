@@ -19,6 +19,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .errors import (
     DuplicateEntry,
     ModelMismatch,
@@ -156,8 +158,9 @@ def cmd_build(args) -> int:
                 check_insertion(v)
         if args.sketch == "l0":
             sk = L0UniversalSketch(system, args.eps, seed)
-            for c, _ in stream.updates:
-                sk.update(c)
+            # one batch: every sampler still sees the stream in order
+            sk.update_many(np.fromiter((c for c, _ in stream.updates),
+                                       dtype=np.int64, count=len(stream.updates)))
         elif args.sketch == "l1":
             sk = L1UniversalSketch(system, args.eps, seed,
                                    stream_capacity=args.capacity)
@@ -185,6 +188,8 @@ def cmd_build(args) -> int:
         raise CliError(EXIT_MODEL, str(e))
     except (ValueError, UniverseTooLarge) as e:
         raise CliError(EXIT_PARSE, str(e))
+    except OverflowError:  # too large for a machine integer, so in no universe
+        raise CliError(EXIT_PARSE, "stream coordinate outside the universe")
 
     save_sketch(sk, args.out)
     print(f"wrote {args.out} ({args.sketch}, {len(stream.updates)} updates)")
@@ -323,8 +328,6 @@ def _check(name: str, fn) -> bool:
 
 
 def cmd_selfcheck(args) -> int:
-    import numpy as np
-
     from .bounded_sampler import BoundedSampler
     from .serialize import sketch_from_state, sketch_state
     from .streams import ExactVector, exact_subset_norm, replay

@@ -28,6 +28,10 @@ from .errors import UniverseTooLarge
 from .hashing import MERSENNE61, AlphaInverseSource
 from .rng import derive_seed
 
+# signed estimates (depth x count-sketch keys) that one estimate_many call of
+# a query may hold: bounds the memory of a query on a large subset
+_QUERY_CHUNK_CELLS = 1 << 21
+
 
 def sample_rows(epsilon: float) -> int:
     """Number of scaler rows k; even, Theta(1/epsilon^2)."""
@@ -157,8 +161,14 @@ class LpSetSketch:
         coords = self._subset_coords(s)
         if coords.size == 0:
             return 0.0
-        est = self.cs.estimate_many(coords, self._offsets)
-        z = selection_statistic(np.abs(est), self.k)
+        # chunks of coordinates; the magnitudes concatenate in the
+        # coordinate-major order of a single call
+        step = max(1, _QUERY_CHUNK_CELLS // (self.k * self.cs.depth))
+        est = np.concatenate([
+            np.abs(self.cs.estimate_many(coords[i : i + step], self._offsets))
+            for i in range(0, coords.size, step)
+        ])
+        z = selection_statistic(est, self.k)
         return 2.0 ** (-1.0 / self.p) * z
 
     def query_exact(self, s, values) -> float:

@@ -10,8 +10,11 @@ space bounds.
 
 Two representations:
 
-* `SetSystem` stores every member set explicitly as a bitmask; fine up to a
-  few thousand sets.
+* `SetSystem` stores every member set explicitly as its sorted coordinate
+  tuple, with a tuple -> set id map for resolving queries and a coordinate
+  -> set ids index for updates; bitmasks, which only the dimension solvers
+  and the set algebra need, are computed on first use.  Fine up to a few
+  thousand sets.
 * `IntervalSystem` represents all intervals with lengths in [min_len,
   max_len] implicitly; samplers exploit the structure instead of enumerating
   the (possibly quadratic) family.
@@ -20,6 +23,7 @@ Two representations:
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +55,15 @@ def _coords_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _canonical(coords, n: int) -> tuple[int, ...]:
+    """Sorted, deduplicated coordinate tuple, range-checked against [1, n]."""
+    cs = tuple(sorted(set(map(int, coords))))
+    if cs and (cs[0] < 1 or cs[-1] > n):
+        bad = cs[0] if cs[0] < 1 else cs[-1]
+        raise ValueError(f"coordinate {bad} outside universe [1, {n}]")
+    return cs
+
+
 def as_interval(q) -> tuple[int, int] | None:
     """Return (lo, hi) if q denotes a contiguous 1-based range, else None."""
     if isinstance(q, range):
@@ -66,48 +79,89 @@ def as_interval(q) -> tuple[int, int] | None:
     return None
 
 
+class MemberCoords(tuple):
+    """A member set's coordinate tuple, tagged with the system it was resolved
+    in and its set id there, so that the samplers answering one query do not
+    look the set up again."""
+
+    system: SetSystem | None = None
+    sid: int | None = None
+
+
 class SetSystem:
-    """Explicit set system; duplicate member sets are dropped (first wins)."""
+    """Explicit set system; duplicate member sets are dropped (first wins).
+
+    Sets may be given as coordinate collections or as bitmasks (bit c-1 for
+    coordinate c).
+    """
 
     def __init__(self, n: int, sets) -> None:
         if n < 0:
             raise ValueError("universe size must be nonnegative")
         self.n = n
-        masks: list[int] = []
-        seen: dict[int, int] = {}
+        coords: list[tuple[int, ...]] = []
+        ids: dict[tuple[int, ...], int] = {}
+        given_masks: dict[int, int] = {}
         for s in sets:
-            m = s if isinstance(s, int) else _mask_from_coords(s, n)
-            if m >> n:
-                raise ValueError("set mask exceeds universe")
-            if m not in seen:
-                seen[m] = len(masks)
-                masks.append(m)
-        self.masks = masks
-        self._id_by_mask = seen
-        self._coords = [_coords_from_mask(m) for m in masks]
+            if isinstance(s, int):
+                if s >> n:
+                    raise ValueError("set mask exceeds universe")
+                cs = _coords_from_mask(s)
+            else:
+                cs = _canonical(s, n)
+            if cs not in ids:
+                if isinstance(s, int):
+                    given_masks[len(coords)] = s
+                ids[cs] = len(coords)
+                coords.append(cs)
+        self._coords = coords
+        self._id_by_coords = ids
+        self._given_masks = given_masks
         rev: dict[int, list[int]] = {}
-        for j, cs in enumerate(self._coords):
+        for j, cs in enumerate(coords):
             for c in cs:
                 rev.setdefault(c, []).append(j)
         self._rev = {c: tuple(js) for c, js in rev.items()}
 
+    @cached_property
+    def masks(self) -> list[int]:
+        given = self._given_masks
+        return [given[j] if j in given else _mask_from_coords(cs, self.n)
+                for j, cs in enumerate(self._coords)]
+
+    @cached_property
+    def _id_by_mask(self) -> dict[int, int]:
+        return {m: j for j, m in enumerate(self.masks)}
+
     @property
     def num_sets(self) -> int:
-        return len(self.masks)
+        return len(self._coords)
 
     def coords_of(self, j: int) -> tuple[int, ...]:
         return self._coords[j]
+
+    def member(self, j: int) -> MemberCoords:
+        """coords_of(j), tagged with this system and the set id j."""
+        m = MemberCoords(self._coords[j])
+        m.system, m.sid = self, j
+        return m
 
     def ids_containing(self, coord: int) -> tuple[int, ...]:
         return self._rev.get(coord, ())
 
     def member_id(self, q) -> int | None:
-        """Set id of q inside the system, or None."""
-        m = q if isinstance(q, int) else _mask_from_coords(q, self.n)
-        return self._id_by_mask.get(m)
+        """Set id of q inside the system, or None.
 
-    def query_mask(self, q) -> int:
-        return q if isinstance(q, int) else _mask_from_coords(q, self.n)
+        q is a bitmask or a coordinate collection in any order, possibly
+        with repeats; a coordinate outside [1, n] raises ValueError.
+        """
+        if isinstance(q, int):
+            return self._id_by_mask.get(q)
+        if isinstance(q, tuple):
+            sid = self._id_by_coords.get(q)
+            if sid is not None:
+                return sid
+        return self._id_by_coords.get(_canonical(q, self.n))
 
     def to_lines(self) -> list[str]:
         lines = [f"n={self.n}"]
@@ -122,7 +176,7 @@ class SetSystem:
         return (
             isinstance(other, SetSystem)
             and self.n == other.n
-            and self.masks == other.masks
+            and self._coords == other._coords
         )
 
     def __repr__(self) -> str:
@@ -211,7 +265,7 @@ def parse_sets_lines(lines) -> SetSystem:
                 raise ValueError("sets file must start with n=<int>")
             n = int(line[2:])
             continue
-        coords = [int(tok) for tok in line.split()]
+        coords = list(map(int, line.split()))
         if coords != sorted(coords):
             raise ValueError(f"set indices must be ascending: {line!r}")
         sets.append(coords)

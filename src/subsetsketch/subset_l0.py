@@ -48,7 +48,9 @@ def resolve_member(system, q):
 
     Interval systems take a range or a contiguous coordinate collection
     whose length the family declares; explicit systems take a coordinate
-    collection equal to a member set.
+    collection equal to a member set, and answer with its coordinates
+    tagged with the set id (`SetSystem.member`), which the samplers read
+    instead of looking the set up again.
     """
     if isinstance(system, IntervalSystem):
         iv = system.member_interval(q)
@@ -58,7 +60,7 @@ def resolve_member(system, q):
     sid = system.member_id(q)
     if sid is None:
         raise QueryNotInSystem(f"not a member set: {q!r}")
-    return system.coords_of(sid)
+    return system.member(sid)
 
 
 class _SamplerPool:

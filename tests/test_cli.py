@@ -138,6 +138,12 @@ def test_parse_error_exit_code(tmp_path, sets_file):
     rc = main(["build", "--sketch", "l0", "--stream", spath,
                "--sets", sets_path, "--out", str(tmp_path / "x.json")])
     assert rc == 2
+    # a coordinate too large for a machine integer is outside the universe
+    for sketch in ("l0", "lp-additive"):
+        spath = _write_stream(tmp_path, "big.txt", ["# model=insertion", "3", str(10**30)])
+        rc = main(["build", "--sketch", sketch, "--stream", spath,
+                   "--sets", sets_path, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
 
 
 def test_query_rejection_exit_codes(tmp_path, sets_file, capsys):
@@ -217,6 +223,28 @@ def test_build_matches_library_build(tmp_path, sets_file):
     for j in range(system.num_sets):
         q = system.coords_of(j)
         assert loaded.query(q) == direct.query(q)
+
+
+def test_l0_build_matches_per_item_updates(tmp_path, sets_file):
+    """The CLI feeds l0 one batch; the state equals per-item updates."""
+    from subsetsketch.serialize import save_sketch
+    from subsetsketch.subset_l0 import L0UniversalSketch
+
+    sets_path, system = sets_file
+    stream = gen_stream("zipf", {"n": 40, "length": 400}, seed=8)
+    spath = tmp_path / "s.txt"
+    stream.write(spath)
+    out = tmp_path / "l0.json"
+    assert main(["build", "--sketch", "l0", "--stream", str(spath),
+                 "--sets", sets_path, "--out", str(out), "--eps", "0.3",
+                 "--seed", "4"]) == 0
+
+    direct = L0UniversalSketch(system, 0.3, derive_seed(4, "build", "l0"))
+    for c, _ in stream.updates:
+        direct.update(c)
+    ref = tmp_path / "direct.json"
+    save_sketch(direct, str(ref))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_hhdim_command(tmp_path, capsys):

@@ -143,6 +143,18 @@ def test_repeated_coordinate_accumulates():
     assert sk.query([4, 5]) == 79.0
 
 
+def test_query_resolves_member_once(member_id_calls):
+    system = family_random(30, 8, 0.3, seed=3)
+    sk = L1UniversalSketch(system, 0.5, seed=4, stream_capacity=2000)
+    rng = np.random.default_rng(5)
+    for c in rng.integers(1, 31, size=80):
+        sk.update(int(c), int(rng.integers(1, 9)))
+    for j in range(system.num_sets):
+        before = len(member_id_calls)
+        sk.query(system.coords_of(j))
+        assert len(member_id_calls) == before + 1
+
+
 def test_estimates_within_tolerance_bulk():
     system = family_random(100, 10, 0.35, seed=6)
     ok = total = 0

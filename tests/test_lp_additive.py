@@ -13,6 +13,24 @@ from subsetsketch.lp_additive import (
 )
 
 
+def test_query_in_chunks_matches_one_call(monkeypatch):
+    import subsetsketch.lp_additive as lp
+
+    sk = LpSetSketch(60, 1.0, 0.5, seed=3, k=16)
+    rng = np.random.default_rng(4)
+    sk.update_many(rng.integers(1, 61, size=200), rng.standard_normal(200))
+    coords = np.arange(1, 61, dtype=np.uint64)
+    whole = selection_statistic(np.abs(sk.cs.estimate_many(coords, sk._offsets)), sk.k)
+    # chunks of 7 coordinates: 9 calls, the last one short
+    monkeypatch.setattr(lp, "_QUERY_CHUNK_CELLS", 7 * sk.k * sk.cs.depth)
+    calls = []
+    original = sk.cs.estimate_many
+    monkeypatch.setattr(sk.cs, "estimate_many",
+                        lambda c, t: calls.append(len(c)) or original(c, t))
+    assert sk.query(coords) == 2.0 ** (-1.0 / sk.p) * whole
+    assert calls == [7] * 8 + [4]
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError, match="not supported"):
         LpSetSketch(10, 0.0, 0.2, seed=1)

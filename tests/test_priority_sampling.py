@@ -97,6 +97,17 @@ def test_hand_simulated_single_set():
     assert sk.query([1, 2, 3]) == pytest.approx(expected, rel=1e-12)
 
 
+def test_query_resolves_member_once(member_id_calls):
+    system = SetSystem(40, [range(1, 21), range(15, 36), [2, 39]])
+    sk = PrioritySketch(system, 1.0, 4, seed=21)
+    for i in range(1, 37):
+        sk.update(i, math.sin(i) * 10)
+    for j in range(system.num_sets):
+        before = len(member_id_calls)
+        sk.query(list(reversed(system.coords_of(j))))
+        assert len(member_id_calls) == before + 1
+
+
 def test_stream_order_invariance():
     system = SetSystem(40, [range(1, 21), range(15, 36), [2, 39]])
     entries = [(i, math.sin(i) * 10) for i in range(1, 37)]

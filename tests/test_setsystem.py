@@ -231,6 +231,39 @@ def test_dedup_and_reverse_index():
     assert s.member_id([1, 3]) is None
 
 
+def test_member_id_accepts_every_collection_form():
+    s = SetSystem(6, [[1, 3, 5], [], [2, 4]])
+    for q in ([5, 1, 3], [3, 1, 5, 1, 3], np.array([5, 3, 1], dtype=np.int64),
+              range(1, 6, 2), (5, 3, 1), (1, 3, 5), s.coords_of(0), 0b10101):
+        assert s.member_id(q) == 0, q
+    assert s.member_id([]) == 1
+    assert s.member_id(()) == 1
+    assert s.member_id(0) == 1
+    assert s.member_id([4, 2, 2]) == 2
+    assert s.member_id([1, 3]) is None
+    assert s.member_id((1, 2)) is None
+    assert s.member_id(0b11) is None
+    with pytest.raises(ValueError):
+        s.member_id([1, 7])
+    with pytest.raises(ValueError):
+        s.member_id((0, 1))
+
+
+def test_mixed_inputs_dedup_first_wins_and_masks():
+    sets = [[3, 1], 0b101, 0b10, [2, 2], (4,), 0b1000, [], 0]
+    s = SetSystem(4, sets)
+    assert [s.coords_of(j) for j in range(s.num_sets)] == [(1, 3), (2,), (4,), ()]
+    assert s.masks == [0b101, 0b10, 0b1000, 0]
+    # the bitmask of every kept set, built one coordinate at a time
+    for j in range(s.num_sets):
+        m = 0
+        for c in s.coords_of(j):
+            m |= 1 << (c - 1)
+        assert s.masks[j] == m
+    with pytest.raises(ValueError):
+        SetSystem(4, [0b10000])
+
+
 def test_coordinate_validation():
     with pytest.raises(ValueError):
         SetSystem(4, [[0]])

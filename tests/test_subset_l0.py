@@ -58,6 +58,26 @@ def test_resolve_member_explicit_forms():
         resolve_member(system, [1, 2])
 
 
+def test_explicit_query_resolves_member_once(member_id_calls):
+    system = family_random(60, 12, 0.3, seed=4)
+    sk = L0UniversalSketch(system, 0.5, seed=2)
+    sk.update_many(np.random.default_rng(1).integers(1, 61, size=400))
+    for j in range(system.num_sets):
+        before = len(member_id_calls)
+        sk.query(list(reversed(system.coords_of(j))))
+        assert len(member_id_calls) == before + 1
+
+
+def test_tagged_member_of_another_system_is_looked_up():
+    a = SetSystem(8, [[1, 2], [3, 4]])
+    b = SetSystem(8, [[3, 4], [1, 2]])
+    samp = BoundedSampler(b, 5, 1.0, seed=0)
+    samp.update_many([1, 2, 3])
+    assert samp.intersection_count(a.member(0)) == 2
+    assert samp.intersection_count(a.member(1)) == 1
+    assert samp.intersection_count(b.member(0)) == 1
+
+
 def test_exact_detector_matches_truth():
     system = SetSystem(60, [range(1, 31), range(20, 55), [3, 9, 40, 58]])
     rng = np.random.default_rng(17)
