@@ -27,7 +27,11 @@ Two backends:
 A `project` hook lets a caller run the sampler over a larger virtual
 universe whose coordinates map many-to-one onto system coordinates; counts
 and neededness are computed on the projected side, H stores virtual
-coordinates.
+coordinates.  The hook is arithmetic: it maps an int and, elementwise, an
+int64 array.
+
+`restore_support` rebuilds a sampler from a saved support in a few array
+passes per backend instead of one insert per coordinate.
 """
 
 from __future__ import annotations
@@ -92,6 +96,10 @@ class BoundedSampler:
             return True
         return self._hash.value(coord) < self._threshold
 
+    def _sampled_many(self, arr: np.ndarray) -> np.ndarray:
+        """`sampled` over an int64 array of coordinates."""
+        return self._hash.values(arr.astype(np.uint64)) < np.uint64(self._threshold)
+
     @property
     def sampling_coefficients(self) -> tuple[int, int, int]:
         """(a, b, threshold): xi(c) = 1 iff (a*c + b) mod (2^61 - 1) < threshold.
@@ -137,29 +145,47 @@ class BoundedSampler:
         if self._frozen:
             return
         if self.rate < 1.0:
-            keep = self._hash.values(arr.astype(np.uint64)) < np.uint64(self._threshold)
-            arr = arr[keep]
+            arr = arr[self._sampled_many(arr)]
         for c in arr:
             self.insert_presampled(int(c))
 
     def restore_support(self, coords) -> None:
-        """Rebuild bookkeeping from a settled support snapshot.
+        """Rebuild bookkeeping from a settled support snapshot, in bulk.
 
-        Counts grow monotonically while replaying a snapshot, so a support
-        that was valid when saved triggers no evictions on the way back in;
-        anything else is rejected.  Sampling and saturation skips are
-        bypassed: the snapshot already made those decisions.
+        The result equals inserting the snapshot coordinate by coordinate
+        in ascending order, sampling and saturation skips bypassed.  Counts
+        only grow during such a replay, so it evicts something exactly when
+        the final bookkeeping has an evictable coordinate; the bulk path
+        computes that final bookkeeping directly and rejects the snapshot
+        in that case.  It also rejects entries that are not ints,
+        duplicates, coordinates outside the universe, coordinates this
+        sampler's xi never samples and coordinates in no member set, none
+        of which a saved sampler can hold.
         """
         if self._h:
             raise ValueError("restore requires a fresh sampler")
-        for coord in sorted(int(c) for c in coords):
-            orig = coord if self.project is None else self.project(coord)
-            if not self._impl.has_sets(orig):
-                raise ValueError(f"snapshot coordinate {coord} touches no member set")
-            self._h.add(coord)
-            self._impl.insert(coord, orig)
-        if self._impl.drain_evictions():
-            raise ValueError("snapshot is not a settled support")
+        coords = list(coords)
+        if not set(map(type, coords)) <= {int}:
+            bad = next(c for c in coords if type(c) is not int)
+            raise ValueError(f"snapshot entry {bad!r} is not an integer coordinate")
+        if not coords:
+            return
+        coords.sort()
+        lo, hi = coords[0], coords[-1]
+        if lo < 1 or hi > self.universe:
+            bad = lo if lo < 1 else hi
+            raise ValueError(f"snapshot coordinate {bad} outside universe [1, {self.universe}]")
+        arr = np.array(coords, dtype=np.int64)
+        dup = np.flatnonzero(arr[1:] == arr[:-1])
+        if dup.size:
+            raise ValueError(f"snapshot coordinate {arr[dup[0]]} appears twice")
+        if self.rate < 1.0:
+            xi = self._sampled_many(arr)
+            if not xi.all():
+                raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
+        origs = arr if self.project is None else self.project(arr)
+        self._impl.restore(arr, origs)
+        self._h = set(coords)
         if self.vote_only and self._impl.fully_saturated:
             self._frozen = True
 
@@ -225,6 +251,37 @@ class _ExplicitState:
                 self.slack[c] = s
                 if s == 0:
                     heapq.heappush(self._cand, c)
+
+    def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        """Bookkeeping of a fresh state after inserting the ascending
+        `coords` (with origins `origs`), or ValueError if that would evict."""
+        covered, indptr, index = self.system.reverse_csr
+        at = np.searchsorted(covered, origs)
+        hit = at < covered.size
+        hit[hit] = covered[at[hit]] == origs[hit]
+        if not hit.all():
+            raise ValueError(f"snapshot coordinate {coords[~hit][0]} touches no member set")
+        starts = indptr[at]
+        lens = indptr[at + 1] - starts
+        # the set ids of every coordinate, one row after another
+        row_at = np.cumsum(lens) - lens
+        ids = index[np.arange(int(lens.sum())) + np.repeat(starts - row_at, lens)]
+        counts = np.bincount(ids, minlength=self.system.num_sets)
+        slack = np.add.reduceat(counts[ids] <= self.budget, row_at, dtype=np.int64)
+        if not slack.all():
+            raise ValueError("snapshot is not a settled support")
+        # members grouped by set id, ascending within a set; gathered from an
+        # object array so that every set shares one int object per coordinate
+        keys = coords.tolist()
+        rows = np.repeat(np.arange(coords.size), lens)[np.argsort(ids, kind="stable")]
+        flat = np.array(keys, dtype=object)[rows].tolist()
+        ends = np.cumsum(counts).tolist()
+        for mem, a, b in zip(self.members, [0] + ends, ends):
+            mem.update(flat[a:b])
+        self.counts = counts.tolist()
+        self._sat = int(np.count_nonzero(counts >= self.budget))
+        self.origin = dict(zip(keys, origs.tolist()))
+        self.slack = dict(zip(keys, slack.tolist()))
 
     def drain_evictions(self):
         u = self.budget
@@ -324,6 +381,31 @@ class _IntervalState:
         sl = self.w[lo : hi + 1]
         if int(sl.min()) > u or bool((sl == u + 1).any()):
             self._evict_region(lo, hi)
+
+    def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        """Bookkeeping of a fresh state after inserting the ascending
+        `coords` (with origins `origs`), or ValueError if that would evict."""
+        outside = (origs < 1) | (origs > self.n) | (self.num_windows < 1)
+        if outside.any():
+            raise ValueError(f"snapshot coordinate {coords[outside][0]} touches no member set")
+        per_orig = np.bincount(origs, minlength=self.n + 1)
+        below = np.cumsum(per_orig)  # below[c]: kept coordinates over [1, c]
+        w = below[self.length :] - below[: self.num_windows]
+        # minwin(c) as in _evict_region, over the whole axis at once
+        seg = np.full(self.n, _INF, dtype=np.int32)
+        seg[: self.num_windows] = w
+        minwin = minimum_filter1d(seg, size=self.length, mode="constant",
+                                  cval=_INF, origin=(self.length - 1) // 2)
+        if (minwin[per_orig[1:] > 0] > self.budget).any():
+            raise ValueError("snapshot is not a settled support")
+        self.w[:] = w
+        self.per_orig[:] = per_orig
+        if self._track:
+            self._sat_windows = int(np.count_nonzero(w >= self.budget))
+        self._projected = not np.array_equal(coords, origs)
+        members = self.orig_members
+        for c, o in zip(coords.tolist(), origs.tolist()):
+            members.setdefault(o, set()).add(c)
 
     def _evict_region(self, wlo: int, whi: int) -> None:
         # Only coordinates over windows [wlo, whi] can have turned evictable,

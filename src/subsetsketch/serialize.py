@@ -6,15 +6,27 @@ plus per-kind dynamic state.  Hash coefficients are never stored: they are
 pure functions of the master seed, so loading reconstructs the sketch via
 its constructor and then restores only the data-dependent state (sampler
 supports, heap contents, counter arrays).  Supports re-enter through
-`restore_support`, which replays a settled snapshot without re-running the
-sampling decisions, so a loaded sketch answers every query with exactly the
-bits the saved one would have.
+`restore_support`, which rebuilds each sampler's bookkeeping from its
+settled snapshot in bulk, without re-running the sampling decisions, so a
+loaded sketch answers every query with exactly the bits the saved one would
+have.
+
+Loading checks the shape of every field it reads and raises ValueError for
+a malformed file; it also refuses a support that no saved sketch could hold
+(see `BoundedSampler.restore_support`) and a `detector_reps` that does not
+match the detector supports present, before any sampler is built.
+
+`save_sketch` writes the outer containers piece by piece and encodes each
+leaf (a support, a heap, a set, the counter string) with `json.dumps`, so
+the file equals `json.dump`'s byte for byte without holding the whole text.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -24,10 +36,34 @@ from .l1_adapter import L1UniversalSketch
 from .lp_additive import LpSetSketch
 from .priority_sampling import PrioritySketch
 from .setsystem import IntervalSystem, SetSystem
-from .subset_l0 import L0UniversalSketch
+from .subset_l0 import DETECTOR_BUDGET, L0UniversalSketch, coarse_thresholds
 
 FORMAT_VERSION = 1
 SKETCH_KINDS = ("l0", "l1", "priority", "lp_additive")
+
+
+# ---------------------------------------------------------------------------
+# field checks
+
+
+def _field(d, key: str, *types):
+    """d[key] if d is an object holding a value of exactly one of `types`
+    (so true is not an int), else ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object holding {key!r}, got {type(d).__name__}")
+    v = d.get(key)
+    if type(v) not in types:
+        want = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"field {key!r} must be {want}, got {v!r:.40}")
+    return v
+
+
+def _number(d, key: str) -> float | int:
+    return _field(d, key, float, int)
+
+
+def _master_seed(d: dict) -> int:
+    return _field(_field(d, "seeds", dict), "master", int)
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +89,16 @@ def system_spec(system) -> dict:
 
 
 def system_from_spec(spec: dict):
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", str)
     if kind == "intervals":
-        return IntervalSystem(spec["n"], spec["min_len"], spec["max_len"])
+        return IntervalSystem(_field(spec, "n", int), _field(spec, "min_len", int),
+                              _field(spec, "max_len", int))
     if kind == "explicit":
-        return SetSystem(spec["n"], spec["sets"])
+        sets = _field(spec, "sets", list)
+        if not set(map(type, sets)) <= {list} or \
+                not set(map(type, chain.from_iterable(sets))) <= {int}:
+            raise ValueError("field 'sets' must be a list of integer lists")
+        return SetSystem(_field(spec, "n", int), sets)
     raise UnknownKind(f"unknown system kind {kind!r}")
 
 
@@ -81,12 +122,39 @@ def _l0_supports(sk: L0UniversalSketch) -> dict:
 
 
 def _l0_restore(sk: L0UniversalSketch, supports: dict) -> None:
-    for name, samp in _l0_slots(sk):
-        samp.restore_support(supports.get(name, []))
+    slots = dict(_l0_slots(sk))
+    if slots.keys() != supports.keys():
+        odd = sorted(slots.keys() ^ supports.keys())
+        raise ValueError(f"supports do not match the sketch's samplers: {odd[:3]}")
+    for name, samp in slots.items():
+        coords = supports[name]
+        if type(coords) is not list:
+            raise ValueError(f"support {name} must be a list")
+        try:
+            samp.restore_support(coords)
+        except ValueError as e:
+            raise ValueError(f"support {name}: {e}") from None
 
 
 def _detector_reps(sk: L0UniversalSketch) -> int:
     return sk.coarse.banks[0].reps
+
+
+def _checked_supports(state, universe: int) -> tuple[int, dict]:
+    """(detector_reps, supports) of a support-sketch state, checked before
+    any sampler is built: every sampled coarse bank stores detector_reps
+    copies, so the copy supports present must number exactly that many per
+    sampled bank."""
+    reps = _field(state, "detector_reps", int)
+    supports = _field(state, "supports", dict)
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError(f"detector_reps must be odd and positive, got {reps}")
+    banks = sum(t > DETECTOR_BUDGET for t in coarse_thresholds(universe))
+    copies = sum(1 for name in supports if name.startswith("coarse.bank"))
+    if copies != banks * reps:
+        raise ValueError(f"detector_reps {reps} does not match the {copies} "
+                         f"detector supports of {banks} sampled banks")
+    return reps, supports
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +189,11 @@ def _state_l0(sk: L0UniversalSketch) -> dict:
 
 
 def _load_l0(d: dict) -> L0UniversalSketch:
-    sk = L0UniversalSketch(
-        system_from_spec(d["system"]),
-        d["epsilon"],
-        d["seeds"]["master"],
-        detector_reps=d["state"]["detector_reps"],
-    )
-    _l0_restore(sk, d["state"]["supports"])
+    system = system_from_spec(_field(d, "system", dict))
+    reps, supports = _checked_supports(_field(d, "state", dict), system.n)
+    sk = L0UniversalSketch(system, _number(d, "epsilon"), _master_seed(d),
+                           detector_reps=reps)
+    _l0_restore(sk, supports)
     return sk
 
 
@@ -145,15 +211,17 @@ def _state_l1(sk: L1UniversalSketch) -> dict:
 
 
 def _load_l1(d: dict) -> L1UniversalSketch:
-    sk = L1UniversalSketch(
-        system_from_spec(d["system"]),
-        d["epsilon"],
-        d["seeds"]["master"],
-        stream_capacity=d["m_bar"],
-        detector_reps=d["state"]["detector_reps"],
-    )
-    sk.clock = int(d["state"]["clock"])
-    _l0_restore(sk.inner, d["state"]["supports"])
+    system = system_from_spec(_field(d, "system", dict))
+    capacity = _field(d, "m_bar", int)
+    state = _field(d, "state", dict)
+    clock = _field(state, "clock", int)
+    if not 0 <= clock <= capacity:
+        raise ValueError(f"clock {clock} outside [0, m_bar = {capacity}]")
+    reps, supports = _checked_supports(state, system.n * capacity)
+    sk = L1UniversalSketch(system, _number(d, "epsilon"), _master_seed(d),
+                           stream_capacity=capacity, detector_reps=reps)
+    sk.clock = clock
+    _l0_restore(sk.inner, supports)
     return sk
 
 
@@ -171,19 +239,37 @@ def _state_priority(sk: PrioritySketch) -> dict:
     return out
 
 
+def _heap_pairs(stored, j: int, n: int) -> tuple[tuple, tuple]:
+    """(coordinates, weights) of saved heap j, or ValueError."""
+    ok = (type(stored) is list and set(map(type, stored)) <= {list}
+          and set(map(len, stored)) <= {2})
+    cs, ws = zip(*stored) if ok and stored else ((), ())
+    if not (ok and set(map(type, cs)) <= {int} and set(map(type, ws)) <= {float, int}):
+        raise ValueError(f"heap {j} must be a list of [coordinate, weight] pairs")
+    if cs and (min(cs) < 1 or max(cs) > n):
+        raise ValueError(f"heap {j} holds a coordinate outside [1, {n}]")
+    return cs, ws
+
+
 def _load_priority(d: dict) -> PrioritySketch:
-    st = d["state"]
-    sk = PrioritySketch(system_from_spec(d["system"]), d["p_norm"],
-                        st["k"], d["seeds"]["master"])
-    for j, stored in enumerate(st["heaps"]):
+    st = _field(d, "state", dict)
+    sk = PrioritySketch(system_from_spec(_field(d, "system", dict)),
+                        _number(d, "p_norm"), _field(st, "k", int), _master_seed(d))
+    heaps = _field(st, "heaps", list)
+    seen = _field(st, "seen", list)
+    if len(heaps) != sk.system.num_sets:
+        raise ValueError(f"{len(heaps)} heaps for {sk.system.num_sets} member sets")
+    if not set(map(type, seen)) <= {int}:
+        raise ValueError("field 'seen' must be a list of integers")
+    pairs = [_heap_pairs(stored, j, sk.system.n) for j, stored in enumerate(heaps)]
+    # a coordinate sits in many heaps; hash its uniform once
+    uniform = {c: sk.uniform_for(c) for c in set().union(*(cs for cs, _ in pairs))}
+    for j, (cs, ws) in enumerate(pairs):
         # the saved list order already satisfies the heap invariant; rebuild
         # it verbatim so later displacements replay identically
-        heap = [(float(w) / sk.uniform_for(int(c)), -int(c), int(c), float(w))
-                for c, w in stored]
-        sk._heaps[j] = heap
-        for _, _, c, _ in heap:
-            sk._refs[c] = sk._refs.get(c, 0) + 1
-    sk._seen = set(st["seen"])
+        sk._heaps[j] = [(w / uniform[c], -c, c, w) for c, w in zip(cs, map(float, ws))]
+    sk._refs = dict(Counter(c for cs, _ in pairs for c in cs))
+    sk._seen = set(seen)
     return sk
 
 
@@ -202,18 +288,18 @@ def _state_lp(sk: LpSetSketch) -> dict:
 
 
 def _load_lp(d: dict) -> LpSetSketch:
-    st = d["state"]
-    sk = LpSetSketch(d["n"], d["p_norm"], d["epsilon"],
-                     d["seeds"]["master"], k=st["k"])
-    if (sk.cs.width, sk.cs.depth) != (st["width"], st["depth"]):
+    st = _field(d, "state", dict)
+    sk = LpSetSketch(_field(d, "n", int), _number(d, "p_norm"), _number(d, "epsilon"),
+                     _master_seed(d), k=_field(st, "k", int))
+    dims = (_field(st, "width", int), _field(st, "depth", int))
+    if (sk.cs.width, sk.cs.depth) != dims:
         raise ValueError(
-            "sizing mismatch: file was written with counter dimensions "
-            f"({st['width']}, {st['depth']}), rebuilt "
-            f"({sk.cs.width}, {sk.cs.depth})"
+            f"sizing mismatch: file was written with counter dimensions {dims}, "
+            f"rebuilt ({sk.cs.width}, {sk.cs.depth})"
         )
-    if st["scaler_cap"] != ALPHA_INVERSE_CAP:
+    if _field(st, "scaler_cap", int) != ALPHA_INVERSE_CAP:
         raise ValueError("scaler cap mismatch")
-    raw = base64.b64decode(st["counters"])
+    raw = base64.b64decode(_field(st, "counters", str))
     sk.cs.counters[:] = np.frombuffer(raw, dtype=np.float64).reshape(
         sk.cs.depth, sk.cs.width)
     return sk
@@ -245,18 +331,42 @@ def sketch_state(sk) -> dict:
 
 
 def sketch_from_state(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError(f"a state is a JSON object, got {type(d).__name__}")
     version = d.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
     kind = d.get("sketch_kind")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise UnknownKind(f"unknown sketch kind {kind!r}; known: {SKETCH_KINDS}")
     return _LOADERS[kind](d)
 
 
+def _write_json(f, obj, depth: int) -> None:
+    """Write `json.dump(obj)`'s text, opening containers down to `depth`
+    levels piece by piece and giving every leaf to the C-accelerated
+    `json.dumps`; `json.dump` itself runs the pure-Python encoder."""
+    if depth and isinstance(obj, dict):
+        f.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            f.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(f, value, depth - 1)
+        f.write("}")
+    elif depth and isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+        f.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                f.write(", ")
+            _write_json(f, item, depth - 1)
+        f.write("]")
+    else:
+        f.write(json.dumps(obj))
+
+
 def save_sketch(sk, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(sketch_state(sk), f)
+        # top level, "state" and "system", then supports, heaps and sets
+        _write_json(f, sketch_state(sk), 3)
         f.write("\n")
 
 

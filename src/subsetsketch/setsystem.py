@@ -13,7 +13,8 @@ Two representations:
 * `SetSystem` stores every member set explicitly as its sorted coordinate
   tuple, with a tuple -> set id map for resolving queries and a coordinate
   -> set ids index for updates; bitmasks, which only the dimension solvers
-  and the set algebra need, are computed on first use.  Fine up to a few
+  and the set algebra need, and a CSR copy of the index, which bulk
+  sampler restores read, are computed on first use.  Fine up to a few
   thousand sets.
 * `IntervalSystem` represents all intervals with lengths in [min_len,
   max_len] implicitly; samplers exploit the structure instead of enumerating
@@ -122,6 +123,9 @@ class SetSystem:
             for c in cs:
                 rev.setdefault(c, []).append(j)
         self._rev = {c: tuple(js) for c, js in rev.items()}
+        # declared here rather than added on first use: a key added to the
+        # instance dict later slows every attribute read of this object
+        self._csr = None
 
     @cached_property
     def masks(self) -> list[int]:
@@ -132,6 +136,27 @@ class SetSystem:
     @cached_property
     def _id_by_mask(self) -> dict[int, int]:
         return {m: j for j, m in enumerate(self.masks)}
+
+    @property
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reverse index as int64 arrays (coords, indptr, ids), built on
+        first use: coords holds, ascending, every coordinate of some member
+        set, and `ids_containing(coords[k])` is ids[indptr[k]:indptr[k + 1]]."""
+        if self._csr is None:
+            self._csr = self._build_csr()
+        return self._csr
+
+    def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sizes = np.fromiter(map(len, self._coords), dtype=np.int64,
+                            count=len(self._coords))
+        flat = np.fromiter((c for cs in self._coords for c in cs),
+                           dtype=np.int64, count=int(sizes.sum()))
+        order = np.argsort(flat, kind="stable")
+        coords, per_coord = np.unique(flat[order], return_counts=True)
+        indptr = np.zeros(coords.size + 1, dtype=np.int64)
+        np.cumsum(per_coord, out=indptr[1:])
+        owners = np.repeat(np.arange(len(self._coords), dtype=np.int64), sizes)
+        return coords, indptr, owners[order]
 
     @property
     def num_sets(self) -> int:

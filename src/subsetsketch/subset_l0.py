@@ -43,6 +43,13 @@ def detector_repetitions(universe: int) -> int:
     return t + 1 if t % 2 == 0 else t
 
 
+def coarse_thresholds(universe: int) -> list[int]:
+    """Vote threshold of each coarse bank: max(1, 2^(j-2)) for bank j, up to
+    j = ceil(log2 universe) + 2.  Banks above DETECTOR_BUDGET are sampled."""
+    levels = math.ceil(math.log2(max(universe, 2))) + 2
+    return [max(1, 2 ** (j - 2)) for j in range(levels + 1)]
+
+
 def resolve_member(system, q):
     """Map q onto the sampler-side query for a member set, or raise.
 
@@ -158,7 +165,8 @@ class ThresholdDetector:
                 project=project,
                 vote_only=True,
             )
-            self.instances = [base] * self.reps
+            # every copy would be this one exact sampler: one stands for all
+            self.instances = [base]
             self.sampled_instances: list[BoundedSampler] = []
         else:
             self.instances = [
@@ -225,7 +233,8 @@ class CoarseL0Estimator:
     ) -> None:
         self.system = system
         self.universe = universe if universe is not None else system.n
-        self.levels = math.ceil(math.log2(max(self.universe, 2))) + 2
+        thresholds = coarse_thresholds(self.universe)
+        self.levels = len(thresholds) - 1
         self.exact = BoundedSampler(
             system,
             DETECTOR_BUDGET,
@@ -237,10 +246,10 @@ class CoarseL0Estimator:
         )
         self.pool = _SamplerPool()
         self.banks: list[ThresholdDetector] = []
-        for j in range(self.levels + 1):
+        for j, threshold in enumerate(thresholds):
             det = ThresholdDetector(
                 system,
-                max(1, 2 ** (j - 2)),
+                threshold,
                 derive_seed(seed, "bank", j),
                 universe=universe,
                 project=project,

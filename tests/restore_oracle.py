@@ -1,0 +1,37 @@
+"""Per-coordinate replay of a support snapshot: the reference for the bulk
+`BoundedSampler.restore_support`."""
+
+import numpy as np
+
+
+def replay_restore(sampler, coords) -> None:
+    """Insert a settled snapshot one coordinate at a time, ascending,
+    bypassing sampling and saturation skips; reject it if anything would
+    be evicted."""
+    if sampler._h:
+        raise ValueError("restore requires a fresh sampler")
+    for coord in sorted(int(c) for c in coords):
+        orig = coord if sampler.project is None else sampler.project(coord)
+        if not sampler._impl.has_sets(orig):
+            raise ValueError(f"snapshot coordinate {coord} touches no member set")
+        sampler._h.add(coord)
+        sampler._impl.insert(coord, orig)
+    if sampler._impl.drain_evictions():
+        raise ValueError("snapshot is not a settled support")
+    if sampler.vote_only and sampler._impl.fully_saturated:
+        sampler._frozen = True
+
+
+_EXPLICIT = ("counts", "members", "slack", "origin", "_sat", "_cand")
+_INTERVAL = ("w", "per_orig", "orig_members", "_projected", "_sat_windows", "_evicted")
+
+
+def bookkeeping(sampler) -> dict:
+    """Everything a restore sets, as plain comparable values."""
+    impl = sampler._impl
+    names = _INTERVAL if hasattr(impl, "w") else _EXPLICIT
+    out = {"_h": sampler._h, "_frozen": sampler._frozen}
+    for name in names:
+        v = getattr(impl, name)
+        out[name] = v.tolist() if isinstance(v, np.ndarray) else v
+    return out

@@ -1,13 +1,16 @@
 """Command-line behavior: exit codes, formats, two-phase equivalence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from subsetsketch.cli import main
 from subsetsketch.l1_adapter import L1UniversalSketch
 from subsetsketch.rng import derive_seed
-from subsetsketch.setsystem import family_random, write_sets_file
+from subsetsketch.setsystem import IntervalSystem, family_random, write_sets_file
 from subsetsketch.streams import gen_stream
+from subsetsketch.subset_l0 import L0UniversalSketch
 
 
 @pytest.fixture
@@ -189,6 +192,58 @@ def test_interval_build_and_interval_query(tmp_path, capsys):
     assert float(est) >= 0
     # too short for the declared family
     assert main(["query", str(out), "1..4"]) == 4
+
+
+def _interval_state(tmp_path, capsys):
+    """A CLI-built l0 state over intervals of length >= 30 in [1, 300]."""
+    stream = gen_stream("uniform", {"n": 300, "length": 1500}, seed=2)
+    spath = tmp_path / "s.txt"
+    stream.write(spath)
+    out = tmp_path / "iv.json"
+    assert main(["build", "--sketch", "l0", "--stream", str(spath),
+                 "--intervals", "30", "--n", "300", "--out", str(out),
+                 "--eps", "0.5", "--seed", "4"]) == 0
+    capsys.readouterr()
+    return json.loads(out.read_text())
+
+
+def _never_sampled_in_ladder3(st):
+    samp = L0UniversalSketch(IntervalSystem(300, 30), 0.5, 4).ladder[3]
+    st["state"]["supports"]["ladder3"].append(
+        next(c for c in range(1, 301) if not samp.sampled(c)))
+
+
+def _ladder0_append(value):
+    return lambda st: st["state"]["supports"]["ladder0"].append(value)
+
+
+STATE_EDITS = {
+    "float coordinate": _ladder0_append(2.5),
+    "duplicate coordinate": lambda st: _ladder0_append(
+        st["state"]["supports"]["ladder0"][0])(st),
+    "never-sampled coordinate": _never_sampled_in_ladder3,
+    "null in a support": _ladder0_append(None),
+    "support not a list": lambda st: st["state"]["supports"].update(ladder0=7),
+    "supports a list": lambda st: st["state"].update(supports=[]),
+    "state null": lambda st: st.update(state=None),
+    "huge detector_reps": lambda st: st["state"].update(detector_reps=10**12 + 1),
+}
+
+
+@pytest.mark.parametrize("case", list(STATE_EDITS))
+def test_malformed_state_file_exits_2(tmp_path, capsys, case):
+    state = _interval_state(tmp_path, capsys)
+    STATE_EDITS[case](state)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(state))
+    assert main(["query", str(path), "1..40"]) == 2
+    assert capsys.readouterr().err.startswith("error: state file")
+
+
+def test_unedited_interval_state_loads(tmp_path, capsys):
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps(_interval_state(tmp_path, capsys)))
+    assert main(["query", str(path), "1..40"]) == 0
 
 
 def test_stdin_stream(tmp_path, sets_file, capsys, monkeypatch):

@@ -242,3 +242,160 @@ def test_projected_sketch_save_refused():
 def test_unserializable_type_rejected():
     with pytest.raises(TypeError):
         sketch_state(object())
+
+
+# ---------------------------------------------------------------------------
+# writing: save_sketch encodes piece by piece, byte-identical to json.dump
+
+
+def _sketches_of_every_kind():
+    rng = np.random.default_rng(12)
+    system = family_random(50, 9, 0.3, seed=2)
+    l0 = L0UniversalSketch(system, 0.4, seed=3)
+    l0.update_many(rng.integers(1, 51, size=300))
+    l0iv = L0UniversalSketch(IntervalSystem(120, 20), 0.4, seed=3)
+    l0iv.update_many(rng.integers(1, 121, size=300))
+    l1 = L1UniversalSketch(system, 0.4, seed=3, stream_capacity=3000)
+    for c in rng.integers(1, 51, size=40):
+        l1.update(int(c), 4)
+    pri = PrioritySketch(system, 1.0, 5, seed=3)
+    for c in rng.permutation(50)[:30] + 1:
+        pri.update(int(c), float(rng.standard_normal()))
+    lp = LpSetSketch(30, 1.0, 0.45, seed=3, k=16)
+    lp.update_many(rng.integers(1, 31, size=40), rng.standard_normal(40))
+    return {"l0": l0, "l0-intervals": l0iv, "l1": l1, "priority": pri,
+            "lp_additive": lp}
+
+
+@pytest.mark.parametrize("name", list(_sketches_of_every_kind()))
+def test_save_bytes_equal_json_dump(tmp_path, name):
+    sk = _sketches_of_every_kind()[name]
+    path = tmp_path / "s.json"
+    save_sketch(sk, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(sketch_state(sk)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reading: malformed files raise ValueError
+
+
+def _l0_state():
+    sk = L0UniversalSketch(IntervalSystem(300, 40), 0.4, seed=5)
+    sk.update_many(np.random.default_rng(6).integers(1, 301, size=800))
+    return sketch_state(sk)
+
+
+def _first_nonempty(supports, prefix):
+    return next(k for k, v in supports.items() if k.startswith(prefix) and v)
+
+
+def _edited(state, edit):
+    state = json.loads(json.dumps(state))
+    edit(state)
+    return state
+
+
+def _set_support(prefix, value):
+    def edit(st):
+        sup = st["state"]["supports"]
+        sup[_first_nonempty(sup, prefix)] = value
+    return edit
+
+
+def _append(prefix, value):
+    def edit(st):
+        sup = st["state"]["supports"]
+        sup[_first_nonempty(sup, prefix)].append(value)
+    return edit
+
+
+def _never_sampled_in_ladder3(st):
+    samp = L0UniversalSketch(IntervalSystem(300, 40), 0.4, seed=5).ladder[3]
+    st["state"]["supports"]["ladder3"].append(
+        next(c for c in range(1, 301) if not samp.sampled(c)))
+
+
+def _repeat_first(st):
+    sup = st["state"]["supports"]
+    key = _first_nonempty(sup, "ladder")
+    sup[key].append(sup[key][0])
+
+
+MALFORMED = {
+    "null in a support": _append("ladder", None),
+    "float in a support": _append("ladder", 2.5),
+    "true in a support": _append("ladder", True),
+    "duplicate coordinate": _repeat_first,
+    "coordinate past n": _append("ladder", 301),
+    "never-sampled coordinate": _never_sampled_in_ladder3,
+    "support not a list": _set_support("ladder", {"1": 2}),
+    "supports a list": lambda st: st["state"].update(supports=[]),
+    "state null": lambda st: st.update(state=None),
+    "system null": lambda st: st.update(system=None),
+    "epsilon a string": lambda st: st.update(epsilon="0.4"),
+    "seeds null": lambda st: st.update(seeds=None),
+    "unknown sampler": lambda st: st["state"]["supports"].update(extra=[]),
+    "missing sampler": lambda st: st["state"]["supports"].pop("ladder0"),
+    "version true": lambda st: st.update(format_version=True),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_l0_state_raises_value_error(case):
+    with pytest.raises(ValueError):
+        sketch_from_state(_edited(_l0_state(), MALFORMED[case]))
+
+
+def test_state_not_an_object_raises_value_error():
+    with pytest.raises(ValueError, match="JSON object"):
+        sketch_from_state([1, 2])
+    with pytest.raises(UnknownKind):
+        sketch_from_state(dict(_l0_state(), sketch_kind=["l0"]))
+
+
+@pytest.mark.parametrize("reps", [1, 5, 9, 10**12, True, 8, -7, None])
+def test_detector_reps_must_match_the_copies_present(monkeypatch, reps):
+    state = _l0_state()
+    assert state["state"]["detector_reps"] == 7
+    built = []
+    monkeypatch.setattr(L0UniversalSketch, "__init__",
+                        lambda *a, **k: built.append(1) or pytest.fail("built"))
+    state["state"]["detector_reps"] = reps
+    with pytest.raises(ValueError, match="detector_reps"):
+        sketch_from_state(state)
+    assert not built
+
+
+def test_detector_reps_unconstrained_without_sampled_banks():
+    # n <= 64: every coarse bank votes exactly, so reps names no sampler
+    sk = L0UniversalSketch(SetSystem(20, [[1, 2, 3], [3, 4, 5, 6]]), 0.5, seed=1,
+                           detector_reps=7)
+    sk.update_many([1, 2, 3, 5])
+    state = sketch_state(sk)
+    assert not any(k.startswith("coarse.bank") for k in state["state"]["supports"])
+    lk = sketch_from_state(state)
+    assert lk.coarse.banks[0].reps == 7
+    assert lk.query([1, 2, 3]) == sk.query([1, 2, 3])
+
+
+def test_malformed_other_kinds_raise_value_error():
+    sketches = _sketches_of_every_kind()
+    edits = {
+        "l1": [lambda st: st["state"].update(clock=None),
+               lambda st: st["state"].update(clock=-1),
+               lambda st: st.update(m_bar="3000")],
+        "priority": [lambda st: st["state"].update(heaps=None),
+                     lambda st: st["state"]["heaps"].append([]),
+                     lambda st: st["state"]["heaps"][0].append([None, 1.0]),
+                     lambda st: st["state"]["heaps"][0].append([3, 1.0, 5]),
+                     lambda st: st["state"]["heaps"][0].append([0, 1.0]),
+                     lambda st: st["state"].update(seen=[[1]])],
+        "lp_additive": [lambda st: st["state"].update(counters=None),
+                        lambda st: st["state"].update(k="16"),
+                        lambda st: st["state"].update(width=None)],
+    }
+    for name, cases in edits.items():
+        state = sketch_state(sketches[name])
+        for edit in cases:
+            with pytest.raises(ValueError):
+                sketch_from_state(_edited(state, edit))
