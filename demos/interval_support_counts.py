@@ -16,8 +16,7 @@ system = IntervalSystem(n, min_len=2500)
 sketch = L0UniversalSketch(system, epsilon=0.1, seed=7)
 
 stream = gen_stream("zipf", {"n": n, "length": 50_000, "theta": 1.1}, seed=7)
-for coord, _ in stream.updates:
-    sketch.update(coord)
+sketch.update_many([coord for coord, _ in stream.updates])  # one batch
 
 support = set(replay(stream).values)
 print(f"stream: {len(stream.updates)} arrivals, {len(support)} distinct ids")

@@ -30,8 +30,14 @@ and neededness are computed on the projected side, H stores virtual
 coordinates.  The hook is arithmetic: it maps an int and, elementwise, an
 int64 array.
 
-`restore_support` rebuilds a sampler from a saved support in a few array
-passes per backend instead of one insert per coordinate.
+Counts only grow between evictions, and an arrival adds at most 1 to any
+count.  So while room = budget - max(count) is at least `_BULK_MIN_ROOM`,
+the next `room` distinct arrivals not already in H can neither evict, nor
+be skipped as saturated, nor freeze the sampler: `update_many` commits
+them in one array pass per backend (`add_many`), and only the rest of the
+batch goes through `insert_presampled`.  `restore_support` rebuilds a
+sampler from a saved support with the same `add_many` on a fresh state,
+then checks that the result is settled.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .hashing import PairwiseHash, bernoulli_threshold
 from .setsystem import IntervalSystem, SetSystem
 
 _INF = np.iinfo(np.int32).max // 2  # larger than any window count
+# the smallest room (and xi-filtered batch) that `update_many` commits in
+# bulk; below it the array passes cost more than per-coordinate inserts
+_BULK_MIN_ROOM = 16
 
 
 class BoundedSampler:
@@ -63,11 +72,7 @@ class BoundedSampler:
             raise ValueError("budget must be >= 1")
         if not 0.0 < rate <= 1.0:
             raise ValueError("sampling rate must be in (0, 1]")
-        if isinstance(system, IntervalSystem):
-            self._impl = _IntervalState(system, budget, track_saturation=vote_only)
-        elif isinstance(system, SetSystem):
-            self._impl = _ExplicitState(system, budget)
-        else:
+        if not isinstance(system, (IntervalSystem, SetSystem)):
             raise TypeError(f"unsupported system type: {type(system).__name__}")
         self.system = system
         self.budget = budget
@@ -83,10 +88,17 @@ class BoundedSampler:
         # freezes.  The subset-or-saturated guarantee survives: a skipped
         # coordinate's sets are all saturated.
         self.vote_only = bool(vote_only)
+        self._impl = self._fresh_state()
         self._frozen = False
         self._hash = PairwiseHash(seed, n_max=self.universe)
         self._threshold = bernoulli_threshold(rate)
         self._h: set[int] = set()
+
+    def _fresh_state(self):
+        if isinstance(self.system, IntervalSystem):
+            return _IntervalState(self.system, self.budget,
+                                  track_saturation=self.vote_only)
+        return _ExplicitState(self.system, self.budget)
 
     # -- sampling ------------------------------------------------------------
 
@@ -146,8 +158,47 @@ class BoundedSampler:
             return
         if self.rate < 1.0:
             arr = arr[self._sampled_many(arr)]
-        for c in arr:
-            self.insert_presampled(int(c))
+        if arr.size >= _BULK_MIN_ROOM:
+            arr = arr[self._commit_bulk(arr):]
+        for c in arr.tolist():
+            if self._frozen:
+                break
+            self.insert_presampled(c)
+
+    def _commit_bulk(self, arr: np.ndarray) -> int:
+        """Commit the leading eviction-free arrivals of a sampled batch in
+        array passes; return the position where per-coordinate inserts
+        must resume.
+
+        With room = budget - max(count), the next `room` fresh arrivals
+        (distinct, not in H, in some member set) leave every count at most
+        the budget, so none of them evicts or is skipped as saturated and
+        the sampler can freeze only after the last; everything between them
+        repeats a coordinate of H or touches no set, and is dropped.
+        """
+        room = self.budget - self._impl.max_count()
+        if room < _BULK_MIN_ROOM:
+            return 0
+        uniq, first = np.unique(arr, return_index=True)
+        origs = uniq if self.project is None else self.project(uniq)
+        fresh = self._impl.touches_sets(origs)
+        if self._h:
+            h = self._h
+            fresh &= np.fromiter((c not in h for c in uniq.tolist()),
+                                 dtype=bool, count=uniq.size)
+        order = np.argsort(first[fresh])
+        pos = first[fresh][order]
+        coords, origs = uniq[fresh][order], origs[fresh][order]
+        done = 0
+        while room >= _BULK_MIN_ROOM and done < coords.size:
+            part = slice(done, done + room)
+            self._impl.add_many(coords[part], origs[part])
+            self._h.update(coords[part].tolist())
+            done = min(done + room, coords.size)
+            room = self.budget - self._impl.max_count()
+        if self.vote_only and self._impl.fully_saturated:
+            self._frozen = True
+        return int(pos[done]) if done < coords.size else arr.size
 
     def restore_support(self, coords) -> None:
         """Rebuild bookkeeping from a settled support snapshot, in bulk.
@@ -160,7 +211,8 @@ class BoundedSampler:
         in that case.  It also rejects entries that are not ints,
         duplicates, coordinates outside the universe, coordinates this
         sampler's xi never samples and coordinates in no member set, none
-        of which a saved sampler can hold.
+        of which a saved sampler can hold.  A rejected snapshot leaves the
+        sampler fresh.
         """
         if self._h:
             raise ValueError("restore requires a fresh sampler")
@@ -184,7 +236,11 @@ class BoundedSampler:
             if not xi.all():
                 raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
         origs = arr if self.project is None else self.project(arr)
-        self._impl.restore(arr, origs)
+        try:
+            self._impl.restore(arr, origs)
+        except ValueError:
+            self._impl = self._fresh_state()
+            raise
         self._h = set(coords)
         if self.vote_only and self._impl.fully_saturated:
             self._frozen = True
@@ -252,36 +308,56 @@ class _ExplicitState:
                 if s == 0:
                     heapq.heappush(self._cand, c)
 
-    def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
-        """Bookkeeping of a fresh state after inserting the ascending
-        `coords` (with origins `origs`), or ValueError if that would evict."""
-        covered, indptr, index = self.system.reverse_csr
+    def max_count(self) -> int:
+        return max(self.counts, default=0)
+
+    def touches_sets(self, origs: np.ndarray) -> np.ndarray:
+        covered = self.system.reverse_csr[0]
         at = np.searchsorted(covered, origs)
         hit = at < covered.size
         hit[hit] = covered[at[hit]] == origs[hit]
-        if not hit.all():
-            raise ValueError(f"snapshot coordinate {coords[~hit][0]} touches no member set")
+        return hit
+
+    def add_many(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        """Insert distinct coordinates not held, each in some member set,
+        where no set already holding members passes the budget: no kept
+        coordinate's slack changes then, and nothing is evicted."""
+        if coords.size == 0:
+            return
+        covered, indptr, index = self.system.reverse_csr
+        at = np.searchsorted(covered, origs)
         starts = indptr[at]
         lens = indptr[at + 1] - starts
         # the set ids of every coordinate, one row after another
         row_at = np.cumsum(lens) - lens
         ids = index[np.arange(int(lens.sum())) + np.repeat(starts - row_at, lens)]
-        counts = np.bincount(ids, minlength=self.system.num_sets)
-        slack = np.add.reduceat(counts[ids] <= self.budget, row_at, dtype=np.int64)
-        if not slack.all():
-            raise ValueError("snapshot is not a settled support")
-        # members grouped by set id, ascending within a set; gathered from an
-        # object array so that every set shares one int object per coordinate
+        added = np.bincount(ids, minlength=self.system.num_sets)
+        counts = np.array(self.counts, dtype=np.int64) + added
+        u = self.budget
+        self._sat += int(np.count_nonzero((counts >= u) & (counts - added < u)))
+        slack = np.add.reduceat(counts[ids] <= u, row_at, dtype=np.int64)
+        # members grouped by set id, gathered from an object array so that
+        # every set shares one int object per coordinate
         keys = coords.tolist()
         rows = np.repeat(np.arange(coords.size), lens)[np.argsort(ids, kind="stable")]
         flat = np.array(keys, dtype=object)[rows].tolist()
-        ends = np.cumsum(counts).tolist()
-        for mem, a, b in zip(self.members, [0] + ends, ends):
-            mem.update(flat[a:b])
+        ends = np.cumsum(added)
+        members = self.members
+        for j in np.flatnonzero(added).tolist():
+            members[j].update(flat[ends[j] - added[j] : ends[j]])
         self.counts = counts.tolist()
-        self._sat = int(np.count_nonzero(counts >= self.budget))
-        self.origin = dict(zip(keys, origs.tolist()))
-        self.slack = dict(zip(keys, slack.tolist()))
+        self.origin.update(zip(keys, origs.tolist()))
+        self.slack.update(zip(keys, slack.tolist()))
+
+    def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        """Bookkeeping of a fresh state after inserting the ascending
+        `coords` (with origins `origs`), or ValueError if that would evict."""
+        hit = self.touches_sets(origs)
+        if not hit.all():
+            raise ValueError(f"snapshot coordinate {coords[~hit][0]} touches no member set")
+        self.add_many(coords, origs)
+        if 0 in self.slack.values():
+            raise ValueError("snapshot is not a settled support")
 
     def drain_evictions(self):
         u = self.budget
@@ -382,30 +458,43 @@ class _IntervalState:
         if int(sl.min()) > u or bool((sl == u + 1).any()):
             self._evict_region(lo, hi)
 
-    def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
-        """Bookkeeping of a fresh state after inserting the ascending
-        `coords` (with origins `origs`), or ValueError if that would evict."""
-        outside = (origs < 1) | (origs > self.n) | (self.num_windows < 1)
-        if outside.any():
-            raise ValueError(f"snapshot coordinate {coords[outside][0]} touches no member set")
+    def max_count(self) -> int:
+        return int(self.w.max()) if self.w.size else 0
+
+    def touches_sets(self, origs: np.ndarray) -> np.ndarray:
+        return (origs >= 1) & (origs <= self.n) & (self.num_windows >= 1)
+
+    def add_many(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        """Insert distinct coordinates not held, each in some window, where
+        no window passes the budget: nothing is evicted."""
         per_orig = np.bincount(origs, minlength=self.n + 1)
-        below = np.cumsum(per_orig)  # below[c]: kept coordinates over [1, c]
-        w = below[self.length :] - below[: self.num_windows]
-        # minwin(c) as in _evict_region, over the whole axis at once
-        seg = np.full(self.n, _INF, dtype=np.int32)
-        seg[: self.num_windows] = w
-        minwin = minimum_filter1d(seg, size=self.length, mode="constant",
-                                  cval=_INF, origin=(self.length - 1) // 2)
-        if (minwin[per_orig[1:] > 0] > self.budget).any():
-            raise ValueError("snapshot is not a settled support")
-        self.w[:] = w
-        self.per_orig[:] = per_orig
+        below = np.cumsum(per_orig)  # below[c]: arrivals over [1, c]
+        added = below[self.length :] - below[: self.num_windows]
         if self._track:
-            self._sat_windows = int(np.count_nonzero(w >= self.budget))
-        self._projected = not np.array_equal(coords, origs)
+            u = self.budget
+            self._sat_windows += int(np.count_nonzero(
+                (self.w < u) & (self.w + added >= u)))
+        self.w += added
+        self.per_orig += per_orig
+        self._projected = self._projected or not np.array_equal(coords, origs)
         members = self.orig_members
         for c, o in zip(coords.tolist(), origs.tolist()):
             members.setdefault(o, set()).add(c)
+
+    def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        """Bookkeeping of a fresh state after inserting the ascending
+        `coords` (with origins `origs`), or ValueError if that would evict."""
+        outside = ~self.touches_sets(origs)
+        if outside.any():
+            raise ValueError(f"snapshot coordinate {coords[outside][0]} touches no member set")
+        self.add_many(coords, origs)
+        # minwin(c) as in _evict_region, over the whole axis at once
+        seg = np.full(self.n, _INF, dtype=np.int32)
+        seg[: self.num_windows] = self.w
+        minwin = minimum_filter1d(seg, size=self.length, mode="constant",
+                                  cval=_INF, origin=(self.length - 1) // 2)
+        if (minwin[self.per_orig[1:] > 0] > self.budget).any():
+            raise ValueError("snapshot is not a settled support")
 
     def _evict_region(self, wlo: int, whi: int) -> None:
         # Only coordinates over windows [wlo, whi] can have turned evictable,

@@ -9,14 +9,11 @@ Commands:
 
 Exit codes: 0 ok, 2 parse error, 3 model mismatch, 4 query rejected.
 All randomness derives from the single --seed, so runs are reproducible.
-The SUBSETSKETCH_THREADS variable caps worker parallelism (every current
-code path is single-threaded, so it only bounds what may be spawned).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -78,19 +75,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _threads() -> int:
-    raw = os.environ.get("SUBSETSKETCH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        t = int(raw)
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"SUBSETSKETCH_THREADS must be an integer, got {raw!r}")
-    if t < 1:
-        raise CliError(EXIT_PARSE, "SUBSETSKETCH_THREADS must be >= 1")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # build
 
@@ -144,7 +128,6 @@ def _resolve_model(args, stream) -> str:
 
 
 def cmd_build(args) -> int:
-    _threads()
     stream = _read_stream(args.stream)
     model = _resolve_model(args, stream)
     system = _load_system(args)
@@ -164,8 +147,8 @@ def cmd_build(args) -> int:
         elif args.sketch == "l1":
             sk = L1UniversalSketch(system, args.eps, seed,
                                    stream_capacity=args.capacity)
-            for c, v in stream.updates:
-                sk.update(c, int(v))
+            sk.update_many([c for c, _ in stream.updates],
+                           [int(v) for _, v in stream.updates])
         elif args.sketch == "priority":
             k = args.k if args.k else sample_budget(args.eps)
             sk = PrioritySketch(system, args.p, k, seed)
@@ -232,7 +215,6 @@ def _query_target(sk, token: str):
 
 
 def cmd_query(args) -> int:
-    _threads()
     try:
         sk = load_sketch(args.state)
     except (OSError, ValueError, KeyError, UnknownKind) as e:

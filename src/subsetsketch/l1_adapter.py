@@ -20,6 +20,8 @@ from .hashing import MERSENNE61
 from .rng import derive_seed
 from .subset_l0 import L0UniversalSketch
 
+_CHUNK_UNITS = 1 << 16  # virtual coordinates encoded per support-sketch batch
+
 
 def encode_arrival(coord: int, tick: int, capacity: int) -> int:
     """Virtual coordinate for stream unit `tick` (1-based) landing on `coord`."""
@@ -69,31 +71,56 @@ class L1UniversalSketch:
         )
 
     def _origin(self, virtual: int) -> int:
-        return (virtual - 1) // self.capacity + 1
+        return decode_origin(virtual, self.capacity)
 
     def update(self, coord: int, value: int = 1) -> None:
         """Add `value` units to `coord`.  Zero is a no-op; negatives refuse."""
-        coord = int(coord)
-        if not 1 <= coord <= self.system.n:
-            raise ValueError(
-                f"coordinate {coord} outside universe [1, {self.system.n}]")
-        if int(value) != value:
-            raise ValueError(f"values must be integers, got {value!r}")
-        value = int(value)
-        if value < 0:
-            raise ModelMismatch(
-                "insertion-only reduction cannot apply a negative update")
-        if value == 0:
-            return
-        if self.clock + value > self.capacity:
-            raise StreamLengthExceeded(
-                f"stream capacity {self.capacity} exhausted "
-                f"(clock {self.clock}, update {value})"
-            )
-        base = (coord - 1) * self.capacity + self.clock
-        virtuals = base + np.arange(1, value + 1, dtype=np.int64)
-        self.clock += value
-        self.inner.update_many(virtuals)
+        self.update_many((coord,), (value,))
+
+    def update_many(self, coords, values) -> None:
+        """Add values[k] units to coords[k] for every k, in order; the same
+        state as one `update` per pair.
+
+        Every pair, and the stream capacity over the whole batch, is checked
+        before anything is ingested.  The virtual coordinates reach the
+        support sketch in chunks of at most `_CHUNK_UNITS`, so memory does
+        not grow with the values.
+        """
+        n, clock = self.system.n, self.clock
+        kept: list[tuple[int, int]] = []
+        for coord, value in zip(coords, values, strict=True):
+            coord = int(coord)
+            if not 1 <= coord <= n:
+                raise ValueError(f"coordinate {coord} outside universe [1, {n}]")
+            if int(value) != value:
+                raise ValueError(f"values must be integers, got {value!r}")
+            value = int(value)
+            if value < 0:
+                raise ModelMismatch(
+                    "insertion-only reduction cannot apply a negative update")
+            if value == 0:
+                continue
+            if clock + value > self.capacity:
+                raise StreamLengthExceeded(
+                    f"stream capacity {self.capacity} exhausted "
+                    f"(clock {clock}, update {value})"
+                )
+            kept.append((coord, value))
+            clock += value
+        tick, self.clock = self.clock, clock
+        chunk: list[np.ndarray] = []
+        room = _CHUNK_UNITS
+        for coord, value in kept:
+            while value:
+                take = min(value, room)
+                ticks = np.arange(tick + 1, tick + take + 1, dtype=np.int64)
+                chunk.append(encode_arrival(coord, ticks, self.capacity))
+                tick, value, room = tick + take, value - take, room - take
+                if not room:
+                    self.inner.update_many(np.concatenate(chunk))
+                    chunk, room = [], _CHUNK_UNITS
+        if chunk:
+            self.inner.update_many(chunk[0] if len(chunk) == 1 else np.concatenate(chunk))
 
     def query(self, q) -> float:
         """Estimate the summed value over member set `q`."""

@@ -14,7 +14,10 @@ have.
 Loading checks the shape of every field it reads and raises ValueError for
 a malformed file; it also refuses a support that no saved sketch could hold
 (see `BoundedSampler.restore_support`) and a `detector_reps` that does not
-match the detector supports present, before any sampler is built.
+match the detector supports present, before any sampler is built.  Parts
+that must agree are cross-checked: the header `n` against the system's, an
+`l1` `clock` against the ticks its supports encode, and a priority `seen`
+against the heap coordinates and [1, n].
 
 `save_sketch` writes the outer containers piece by piece and encodes each
 leaf (a support, a heap, a set, the counter string) with `json.dumps`, so
@@ -100,6 +103,15 @@ def system_from_spec(spec: dict):
             raise ValueError("field 'sets' must be a list of integer lists")
         return SetSystem(_field(spec, "n", int), sets)
     raise UnknownKind(f"unknown system kind {kind!r}")
+
+
+def _checked_system(d: dict):
+    """The state's set system, whose n must equal the header's."""
+    system = system_from_spec(_field(d, "system", dict))
+    n = _field(d, "n", int)
+    if n != system.n:
+        raise ValueError(f"header n = {n} differs from the system's n = {system.n}")
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +201,7 @@ def _state_l0(sk: L0UniversalSketch) -> dict:
 
 
 def _load_l0(d: dict) -> L0UniversalSketch:
-    system = system_from_spec(_field(d, "system", dict))
+    system = _checked_system(d)
     reps, supports = _checked_supports(_field(d, "state", dict), system.n)
     sk = L0UniversalSketch(system, _number(d, "epsilon"), _master_seed(d),
                            detector_reps=reps)
@@ -211,7 +223,7 @@ def _state_l1(sk: L1UniversalSketch) -> dict:
 
 
 def _load_l1(d: dict) -> L1UniversalSketch:
-    system = system_from_spec(_field(d, "system", dict))
+    system = _checked_system(d)
     capacity = _field(d, "m_bar", int)
     state = _field(d, "state", dict)
     clock = _field(state, "clock", int)
@@ -222,6 +234,10 @@ def _load_l1(d: dict) -> L1UniversalSketch:
                            stream_capacity=capacity, detector_reps=reps)
     sk.clock = clock
     _l0_restore(sk.inner, supports)
+    # every stored virtual coordinate encodes the tick that claimed it
+    held = np.fromiter(chain.from_iterable(supports.values()), dtype=np.int64)
+    if held.size and int(((held - 1) % capacity).max()) + 1 > clock:
+        raise ValueError(f"clock {clock} is below a tick the supports encode")
     return sk
 
 
@@ -253,8 +269,8 @@ def _heap_pairs(stored, j: int, n: int) -> tuple[tuple, tuple]:
 
 def _load_priority(d: dict) -> PrioritySketch:
     st = _field(d, "state", dict)
-    sk = PrioritySketch(system_from_spec(_field(d, "system", dict)),
-                        _number(d, "p_norm"), _field(st, "k", int), _master_seed(d))
+    sk = PrioritySketch(_checked_system(d), _number(d, "p_norm"),
+                        _field(st, "k", int), _master_seed(d))
     heaps = _field(st, "heaps", list)
     seen = _field(st, "seen", list)
     if len(heaps) != sk.system.num_sets:
@@ -270,6 +286,11 @@ def _load_priority(d: dict) -> PrioritySketch:
         sk._heaps[j] = [(w / uniform[c], -c, c, w) for c, w in zip(cs, map(float, ws))]
     sk._refs = dict(Counter(c for cs, _ in pairs for c in cs))
     sk._seen = set(seen)
+    if seen and (min(seen) < 1 or max(seen) > sk.system.n):
+        raise ValueError(f"field 'seen' names a coordinate outside [1, {sk.system.n}]")
+    if not sk._seen.issuperset(sk._refs):
+        missing = min(sk._refs.keys() - sk._seen)
+        raise ValueError(f"heap coordinate {missing} is missing from 'seen'")
     return sk
 
 

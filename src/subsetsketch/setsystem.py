@@ -487,14 +487,7 @@ def family_random(n: int, k: int, q: float, seed: int) -> SetSystem:
         raise ValueError(f"density q must be in (0, 1/2], got {q}")
     rng = np.random.default_rng(derive_seed(seed, 0xFA11))
     rows = rng.random((k, n)) < q
-    sets = []
-    for r in range(k):
-        m = 0
-        for i in range(n):
-            if rows[r, i]:
-                m |= 1 << i
-        sets.append(m)
-    return SetSystem(n, sets)
+    return SetSystem(n, [(np.flatnonzero(row) + 1).tolist() for row in rows])
 
 
 def union_systems(s1, s2) -> SetSystem:

@@ -220,6 +220,12 @@ class CoarseL0Estimator:
     0 when bank 0 votes no, else 2^j for the first bank from 1 upward
     voting no.  A unanimous ladder means the count ran past the sized-for
     universe; that is logged and the top fallback returned.
+
+    The bracket delivered: banks at thresholds up to DETECTOR_BUDGET vote
+    exactly, so for the counts they decide (below 64) truth < z <= 8 *
+    truth, with z = 8 * truth exactly at a power of two.  Sampled banks vote
+    with noise; there z has been seen up to about 8.3 * truth, just below a
+    power of two.
     """
 
     def __init__(

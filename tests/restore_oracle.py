@@ -1,7 +1,24 @@
-"""Per-coordinate replay of a support snapshot: the reference for the bulk
-`BoundedSampler.restore_support`."""
+"""Per-coordinate references for the bulk sampler paths: the replay of a
+support snapshot for `BoundedSampler.restore_support`, and the insert loop
+for `BoundedSampler.update_many`."""
 
 import numpy as np
+
+
+def update_per_coordinate(sampler, coords) -> None:
+    """`update_many` one `insert_presampled` per xi-sampled arrival."""
+    arr = np.asarray(coords, dtype=np.int64)
+    if arr.size == 0:
+        return
+    if arr.min() < 1 or arr.max() > sampler.universe:
+        bad = arr[(arr < 1) | (arr > sampler.universe)][0]
+        raise ValueError(f"coordinate {bad} outside universe [1, {sampler.universe}]")
+    if sampler._frozen:
+        return
+    if sampler.rate < 1.0:
+        arr = arr[sampler._sampled_many(arr)]
+    for c in arr:
+        sampler.insert_presampled(int(c))
 
 
 def replay_restore(sampler, coords) -> None:

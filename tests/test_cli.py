@@ -338,19 +338,6 @@ def test_gen_command_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("# model=insertion n=10")
 
 
-def test_threads_env_validation(tmp_path, sets_file, monkeypatch):
-    sets_path, _ = sets_file
-    spath = _write_stream(tmp_path, "s.txt", ["1", "2"])
-    monkeypatch.setenv("SUBSETSKETCH_THREADS", "zero")
-    rc = main(["build", "--sketch", "l0", "--stream", spath,
-               "--sets", sets_path, "--out", str(tmp_path / "x.json")])
-    assert rc == 2
-    monkeypatch.setenv("SUBSETSKETCH_THREADS", "2")
-    rc = main(["build", "--sketch", "l0", "--stream", spath,
-               "--sets", sets_path, "--out", str(tmp_path / "x.json")])
-    assert rc == 0
-
-
 def test_selfcheck(capsys):
     rc = main(["selfcheck"])
     out = capsys.readouterr().out

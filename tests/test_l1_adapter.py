@@ -187,3 +187,38 @@ def test_seed_determinism():
             sk.update(coord, delta)
         results.append([sk.query(system.coords_of(j)) for j in range(2)])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+def test_batch_in_chunks_equals_one_update_per_pair(monkeypatch, chunk):
+    from subsetsketch import l1_adapter
+    from subsetsketch.serialize import sketch_state
+
+    system = family_random(40, 8, 0.3, seed=2)
+    rng = np.random.default_rng(chunk)
+    coords = rng.integers(1, 41, size=60)
+    values = rng.integers(0, 25, size=60)  # zeros included
+    per_pair = L1UniversalSketch(system, 0.4, seed=3, stream_capacity=5000)
+    for c, v in zip(coords, values):
+        per_pair.update(int(c), int(v))
+    monkeypatch.setattr(l1_adapter, "_CHUNK_UNITS", chunk)
+    batched = L1UniversalSketch(system, 0.4, seed=3, stream_capacity=5000)
+    batched.update_many(coords[:25], values[:25])
+    batched.update_many(coords[25:], values[25:])
+    assert sketch_state(batched) == sketch_state(per_pair)
+
+
+def test_batch_checked_whole_before_ingesting():
+    system = SetSystem(5, [[1, 2]])
+    sk = L1UniversalSketch(system, 0.3, seed=2, stream_capacity=10)
+    with pytest.raises(StreamLengthExceeded):
+        sk.update_many([1, 2, 1], [4, 5, 2])  # the third pair passes capacity
+    with pytest.raises(ValueError):
+        sk.update_many([1, 6], [1, 1])
+    with pytest.raises(ModelMismatch):
+        sk.update_many([1, 2], [1, -1])
+    with pytest.raises(ValueError):
+        sk.update_many([1, 2], [1])
+    assert sk.clock == 0 and sk.inner.ladder[0].size == 0
+    sk.update_many([1, 2], [6, 4])
+    assert sk.clock == 10 and sk.query([1, 2]) == 10.0

@@ -399,3 +399,56 @@ def test_malformed_other_kinds_raise_value_error():
         for edit in cases:
             with pytest.raises(ValueError):
                 sketch_from_state(_edited(state, edit))
+
+
+# ---------------------------------------------------------------------------
+# parts of a state file that must agree with each other (CLI exit code 2)
+
+
+def _largest_tick(state):
+    cap = state["m_bar"]
+    return max((v - 1) % cap + 1
+               for sup in state["state"]["supports"].values() for v in sup)
+
+
+def _l1_clock_below_a_tick(st):
+    st["state"]["clock"] = _largest_tick(st) - 1
+
+
+def _seen_without_heap_coordinate(st):
+    st["state"]["seen"].remove(st["state"]["heaps"][0][0][0])
+
+
+INCONSISTENT = {
+    "l0 header n": ("l0", lambda st: st.update(n=st["n"] + 1)),
+    "l0-intervals header n": ("l0-intervals", lambda st: st.update(n=st["n"] - 1)),
+    "l1 header n": ("l1", lambda st: st.update(n=st["n"] + 1)),
+    "priority header n": ("priority", lambda st: st.update(n=st["n"] + 1)),
+    "l1 clock below a tick": ("l1", _l1_clock_below_a_tick),
+    "l1 clock zero": ("l1", lambda st: st["state"].update(clock=0)),
+    "seen omits a heap coordinate": ("priority", _seen_without_heap_coordinate),
+    "seen past n": ("priority", lambda st: st["state"]["seen"].append(st["n"] + 1)),
+    "seen zero": ("priority", lambda st: st["state"]["seen"].insert(0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(INCONSISTENT))
+def test_inconsistent_state_exits_2(tmp_path, capsys, case):
+    from subsetsketch.cli import main
+
+    name, edit = INCONSISTENT[case]
+    state = sketch_state(_sketches_of_every_kind()[name])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(state))
+    bad.write_text(json.dumps(_edited(state, edit)))
+    token = "1" if name != "l0-intervals" else "1..40"
+    assert main(["query", str(good), token]) == 0
+    assert main(["query", str(bad), token]) == 2
+    assert "state file" in capsys.readouterr().err
+
+
+def test_l1_clock_at_the_largest_tick_loads():
+    state = sketch_state(_sketches_of_every_kind()["l1"])
+    assert state["state"]["clock"] == _largest_tick(state)  # nothing evicted yet
+    state["state"]["clock"] += 5  # ticks may also have left every support
+    assert sketch_from_state(state).clock == state["state"]["clock"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subsetsketch.errors import UniverseMismatch, UniverseTooLarge
+from subsetsketch.rng import derive_seed
 from subsetsketch.setsystem import (
     IntervalSystem,
     SetSystem,
@@ -161,6 +162,33 @@ def test_random_family_reproducible_and_bounded():
         family_random(10, 3, 0.75, seed=1)
     with pytest.raises(ValueError):
         family_random(10, 3, 0.0, seed=1)
+
+
+def _random_family_bit_by_bit(n, k, q, seed):
+    """family_random's sets built as bitmasks one bit at a time."""
+    rows = np.random.default_rng(derive_seed(seed, 0xFA11)).random((k, n)) < q
+    masks = []
+    for r in range(k):
+        m = 0
+        for i in range(n):
+            if rows[r, i]:
+                m |= 1 << i
+        masks.append(m)
+    return SetSystem(n, masks)
+
+
+@pytest.mark.parametrize("n,k,q,seed", [
+    (40, 6, 0.2, 3), (200, 30, 0.5, 11), (97, 12, 0.05, 5),
+    (3, 20, 0.5, 2),  # repeated and empty rows: first copy wins
+])
+def test_random_family_sets_order_and_fingerprint_unchanged(n, k, q, seed):
+    want = _random_family_bit_by_bit(n, k, q, seed)
+    got = family_random(n, k, q, seed)
+    assert got == want
+    assert [got.coords_of(j) for j in range(got.num_sets)] == \
+        [want.coords_of(j) for j in range(want.num_sets)]
+    assert got.masks == want.masks
+    assert got.fingerprint() == want.fingerprint()
 
 
 def test_random_family_dimension_is_modest():
