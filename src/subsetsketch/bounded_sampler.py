@@ -13,11 +13,16 @@ set s either all of supp(xi . s . v) landed in H, or |H . s| >= budget.
 
 Two backends:
 
-* explicit systems: per-set intersection counts, plus for every kept
-  coordinate a slack counter (how many of its sets are still at or below
-  the budget); slack hitting zero queues the coordinate for eviction.  A
-  query that `subset_l0.resolve_member` tagged with its set id
-  (`MemberCoords`) is answered from that id without a lookup.
+* explicit systems: per-set intersection counts, plus per covered
+  coordinate (indexed by its position in `SetSystem.reverse_csr`) the kept
+  coordinates over it and a slack counter, the number of its sets still at
+  or below the budget.  Slack follows the counts alone and changes only
+  when a set crosses between budget and budget + 1, by one update over the
+  set's positions (`SetSystem.forward_index`); kept coordinates over an
+  origin with zero slack are evictable.  No per-set copy of the kept
+  coordinates exists: a member-set query reads its count, and a query that
+  `subset_l0.resolve_member` tagged with its set id (`MemberCoords`) is
+  answered from that id without a lookup.
 * interval systems: neededness reduces to windows of the minimum member
   length, since any member interval through i contains such a window
   through i and the window is itself a member.  Window counts live in one
@@ -28,7 +33,9 @@ A `project` hook lets a caller run the sampler over a larger virtual
 universe whose coordinates map many-to-one onto system coordinates; counts
 and neededness are computed on the projected side, H stores virtual
 coordinates.  The hook is arithmetic: it maps an int and, elementwise, an
-int64 array.
+int64 array.  Both backends evict alike: among the origins an insertion
+can have made evictable, repeatedly the smallest kept coordinate over an
+evictable one.
 
 Counts only grow between evictions, and an arrival adds at most 1 to any
 count.  So while room = budget - max(count) is at least `_BULK_MIN_ROOM`,
@@ -41,8 +48,6 @@ then checks that the result is settled.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 from scipy.ndimage import minimum_filter1d
@@ -236,6 +241,9 @@ class BoundedSampler:
             if not xi.all():
                 raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
         origs = arr if self.project is None else self.project(arr)
+        hit = self._impl.touches_sets(origs)
+        if not hit.all():
+            raise ValueError(f"snapshot coordinate {arr[~hit][0]} touches no member set")
         try:
             self._impl.restore(arr, origs)
         except ValueError:
@@ -262,15 +270,63 @@ class BoundedSampler:
         return self._impl.intersection_count(q)
 
 
-class _ExplicitState:
+class _OriginState:
+    """What both backends share: per origin, `per_orig` counts the kept
+    coordinates and `orig_members` holds them, so that a projected sampler
+    can pick the smallest kept coordinate among the candidate origins of an
+    eviction; evictions queue in `_evicted` until drained."""
+
+    def _keep(self, coord: int, orig: int) -> None:
+        self.orig_members.setdefault(orig, set()).add(coord)
+        if coord != orig:
+            self._projected = True
+
+    def _hold(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        self._projected = self._projected or not np.array_equal(coords, origs)
+        members = self.orig_members
+        for c, o in zip(coords.tolist(), origs.tolist()):
+            members.setdefault(o, set()).add(c)
+
+    def _victim(self, origs: np.ndarray) -> tuple[int, int]:
+        """The smallest kept coordinate over the candidate origins `origs`,
+        and the index in `origs` of its origin."""
+        if not self._projected:
+            i = int(origs.argmin())
+            return int(origs[i]), i
+        members = self.orig_members
+        return min((min(members[o]), i) for i, o in enumerate(origs.tolist()))
+
+    def _forget(self, victim: int, vorig: int) -> None:
+        mem = self.orig_members[vorig]
+        mem.discard(victim)
+        if not mem:
+            del self.orig_members[vorig]
+        self._evicted.append(victim)
+
+    def drain_evictions(self):
+        out = self._evicted
+        self._evicted = []
+        return out
+
+
+class _ExplicitState(_OriginState):
+    """Set-count backend.  `counts[j]` is |H . s_j| (projected side); the
+    per-origin arrays are indexed by a coordinate's position in
+    `SetSystem.reverse_csr`, so their size follows the covered coordinates.
+    `slack` counts, for every covered coordinate, its sets at or below the
+    budget: kept coordinates over an origin with zero slack are evictable."""
+
     def __init__(self, system: SetSystem, budget: int) -> None:
         self.system = system
         self.budget = budget
         self.counts = [0] * system.num_sets
-        self.members: list[set[int]] = [set() for _ in range(system.num_sets)]
-        self.slack: dict[int, int] = {}
-        self.origin: dict[int, int] = {}
-        self._cand: list[int] = []
+        self._covered = system.reverse_csr[0]
+        self._pos, self._by_set, degree = system.forward_index
+        self.slack = degree.copy()
+        self.per_orig = np.zeros(self._covered.size, dtype=np.int64)
+        self.orig_members: dict[int, set[int]] = {}
+        self._projected = False
+        self._evicted: list[int] = []
         self._sat = 0  # member sets whose count has reached the budget
 
     def has_sets(self, orig: int) -> bool:
@@ -286,44 +342,65 @@ class _ExplicitState:
 
     def insert(self, coord: int, orig: int) -> None:
         u = self.budget
-        ids = self.system.ids_containing(orig)
-        self.origin[coord] = orig
+        k = self._pos[orig]
+        self.per_orig[k] += 1
+        self._keep(coord, orig)
+        counts = self.counts
         crossed = []
-        for j in ids:
-            self.members[j].add(coord)
-            self.counts[j] += 1
-            if self.counts[j] == u:
+        for j in self.system.ids_containing(orig):
+            c = counts[j] + 1
+            counts[j] = c
+            if c == u:
                 self._sat += 1
-            elif self.counts[j] == u + 1:
+            elif c == u + 1:
                 crossed.append(j)
-        self.slack[coord] = sum(1 for j in ids if self.counts[j] <= u)
-        if self.slack[coord] == 0:
-            heapq.heappush(self._cand, coord)
-        for j in crossed:
-            for c in self.members[j]:
-                if c == coord:
-                    continue
-                s = self.slack[c] - 1
-                self.slack[c] = s
-                if s == 0:
-                    heapq.heappush(self._cand, c)
+        if crossed:
+            by_set = self._by_set
+            for j in crossed:
+                self.slack[by_set[j]] -= 1
+            self._evict_region(np.concatenate([by_set[j] for j in crossed]))
+        elif self.slack[k] == 0:
+            self._evict_region(np.array([k]))
+
+    def _evict_region(self, region: np.ndarray) -> None:
+        # Only coordinates over `region` can have turned evictable, and
+        # evictions only raise slack, so refiltering the same region after
+        # each eviction implements repeated removal of the smallest
+        # evictable coordinate.
+        u = self.budget
+        counts, slack, per_orig = self.counts, self.slack, self.per_orig
+        while True:
+            cand = region[(slack[region] == 0) & (per_orig[region] > 0)]
+            if cand.size == 0:
+                return
+            origs = self._covered[cand]
+            victim, i = self._victim(origs)
+            vorig = int(origs[i])
+            per_orig[cand[i]] -= 1
+            for j in self.system.ids_containing(vorig):
+                c = counts[j] - 1
+                counts[j] = c
+                if c == u - 1:
+                    self._sat -= 1
+                elif c == u:
+                    slack[self._by_set[j]] += 1
+            self._forget(victim, vorig)
 
     def max_count(self) -> int:
         return max(self.counts, default=0)
 
     def touches_sets(self, origs: np.ndarray) -> np.ndarray:
-        covered = self.system.reverse_csr[0]
+        covered = self._covered
         at = np.searchsorted(covered, origs)
         hit = at < covered.size
         hit[hit] = covered[at[hit]] == origs[hit]
         return hit
 
-    def add_many(self, coords: np.ndarray, origs: np.ndarray) -> None:
+    def add_many(self, coords: np.ndarray, origs: np.ndarray) -> np.ndarray:
         """Insert distinct coordinates not held, each in some member set,
-        where no set already holding members passes the budget: no kept
-        coordinate's slack changes then, and nothing is evicted."""
-        if coords.size == 0:
-            return
+        and return the new counts as an array.  Slack is left as it was,
+        which is right only where no set passes the budget (and then
+        nothing is evicted)."""
         covered, indptr, index = self.system.reverse_csr
         at = np.searchsorted(covered, origs)
         starts = indptr[at]
@@ -335,71 +412,37 @@ class _ExplicitState:
         counts = np.array(self.counts, dtype=np.int64) + added
         u = self.budget
         self._sat += int(np.count_nonzero((counts >= u) & (counts - added < u)))
-        slack = np.add.reduceat(counts[ids] <= u, row_at, dtype=np.int64)
-        # members grouped by set id, gathered from an object array so that
-        # every set shares one int object per coordinate
-        keys = coords.tolist()
-        rows = np.repeat(np.arange(coords.size), lens)[np.argsort(ids, kind="stable")]
-        flat = np.array(keys, dtype=object)[rows].tolist()
-        ends = np.cumsum(added)
-        members = self.members
-        for j in np.flatnonzero(added).tolist():
-            members[j].update(flat[ends[j] - added[j] : ends[j]])
         self.counts = counts.tolist()
-        self.origin.update(zip(keys, origs.tolist()))
-        self.slack.update(zip(keys, slack.tolist()))
+        self.per_orig += np.bincount(at, minlength=covered.size)
+        self._hold(coords, origs)
+        return counts
 
     def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
         """Bookkeeping of a fresh state after inserting the ascending
-        `coords` (with origins `origs`), or ValueError if that would evict."""
-        hit = self.touches_sets(origs)
-        if not hit.all():
-            raise ValueError(f"snapshot coordinate {coords[~hit][0]} touches no member set")
-        self.add_many(coords, origs)
-        if 0 in self.slack.values():
+        `coords` (with origins `origs`, each in some member set), or
+        ValueError if that would evict."""
+        counts = self.add_many(coords, origs)
+        _, indptr, index = self.system.reverse_csr
+        self.slack = np.add.reduceat(counts[index] <= self.budget, indptr[:-1],
+                                     dtype=np.int64)
+        if ((self.slack == 0) & (self.per_orig > 0)).any():
             raise ValueError("snapshot is not a settled support")
-
-    def drain_evictions(self):
-        u = self.budget
-        out = []
-        while self._cand:
-            c = heapq.heappop(self._cand)
-            if self.slack.get(c, -1) != 0:
-                continue  # stale: already evicted or re-needed
-            del self.slack[c]
-            orig = self.origin.pop(c)
-            for j in self.system.ids_containing(orig):
-                self.members[j].discard(c)
-                self.counts[j] -= 1
-                if self.counts[j] == u - 1:
-                    self._sat -= 1
-                elif self.counts[j] == u:
-                    for c2 in self.members[j]:
-                        self.slack[c2] += 1
-            out.append(c)
-        return out
 
     def intersection_count(self, q) -> int:
         if self.system.n == 0:
             return 0
         if getattr(q, "system", None) is self.system:
-            return len(self.members[q.sid])
+            return self.counts[q.sid]
         sid = self.system.member_id(q)
         if sid is not None:
-            return len(self.members[sid])
-        coords = q if not isinstance(q, int) else None
-        if coords is None:
+            return self.counts[sid]
+        if isinstance(q, int):
             raise TypeError("mask queries must name a member set")
-        hits = 0
-        per_orig: dict[int, int] = {}
-        for orig in self.origin.values():
-            per_orig[orig] = per_orig.get(orig, 0) + 1
-        for c in coords:
-            hits += per_orig.get(int(c), 0)
-        return hits
+        pos, per_orig = self._pos, self.per_orig
+        return sum(int(per_orig[pos[c]]) for c in map(int, q) if c in pos)
 
 
-class _IntervalState:
+class _IntervalState(_OriginState):
     """Window-count backend; `w[t]` counts kept coordinates whose projection
     lies in the length-L window starting at t+1, L the minimum member length."""
 
@@ -451,9 +494,7 @@ class _IntervalState:
         if self._track:
             self._sat_windows += int(np.count_nonzero(self.w[lo : hi + 1] == u))
         self.per_orig[orig] += 1
-        self.orig_members.setdefault(orig, set()).add(coord)
-        if coord != orig:
-            self._projected = True
+        self._keep(coord, orig)
         sl = self.w[lo : hi + 1]
         if int(sl.min()) > u or bool((sl == u + 1).any()):
             self._evict_region(lo, hi)
@@ -476,17 +517,12 @@ class _IntervalState:
                 (self.w < u) & (self.w + added >= u)))
         self.w += added
         self.per_orig += per_orig
-        self._projected = self._projected or not np.array_equal(coords, origs)
-        members = self.orig_members
-        for c, o in zip(coords.tolist(), origs.tolist()):
-            members.setdefault(o, set()).add(c)
+        self._hold(coords, origs)
 
     def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
         """Bookkeeping of a fresh state after inserting the ascending
-        `coords` (with origins `origs`), or ValueError if that would evict."""
-        outside = ~self.touches_sets(origs)
-        if outside.any():
-            raise ValueError(f"snapshot coordinate {coords[outside][0]} touches no member set")
+        `coords` (with origins `origs`, each in some window), or ValueError
+        if that would evict."""
         self.add_many(coords, origs)
         # minwin(c) as in _evict_region, over the whole axis at once
         seg = np.full(self.n, _INF, dtype=np.int32)
@@ -524,28 +560,14 @@ class _IntervalState:
             cand_origs = np.nonzero(occupied & over)[0] + clo
             if cand_origs.size == 0:
                 return
-            if not self._projected:
-                vorig = int(cand_origs[0])
-                victim = vorig
-            else:
-                victim, vorig = min(
-                    (min(self.orig_members[int(o)]), int(o)) for o in cand_origs
-                )
+            victim, i = self._victim(cand_origs)
+            vorig = int(cand_origs[i])
             lo, hi = self._window_range(vorig)
             self.w[lo : hi + 1] -= 1
             if self._track:
                 self._sat_windows -= int(np.count_nonzero(self.w[lo : hi + 1] == u - 1))
             self.per_orig[vorig] -= 1
-            mem = self.orig_members[vorig]
-            mem.discard(victim)
-            if not mem:
-                del self.orig_members[vorig]
-            self._evicted.append(victim)
-
-    def drain_evictions(self):
-        out = self._evicted
-        self._evicted = []
-        return out
+            self._forget(victim, vorig)
 
     def intersection_count(self, q) -> int:
         from .setsystem import as_interval

@@ -52,6 +52,34 @@ def error_param(p: float, n: int, epsilon: float) -> float:
     return e2 * n ** (1.0 / p - 0.5)
 
 
+def sketch_shape(n: int, p: float, epsilon: float,
+                 k: int | None = None) -> tuple[int, int, int]:
+    """(k, width, depth) of `LpSetSketch(n, p, epsilon, seed, k=k)`, k's
+    default filled in.  Raises where the constructor would, and allocates
+    nothing, so a loader can check the counter table a file asks for
+    against the counters it holds before building it."""
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+    if p == 0.0:
+        raise ValueError(
+            "p = 0 is not supported by the additive sketch; "
+            "use the subset support-size sketch instead"
+        )
+    if p < 0.0 or not math.isfinite(p):
+        raise ValueError(f"p must be positive, got {p}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if k is None:
+        k = sample_rows(epsilon)
+    if k < 2 or k % 2 != 0:
+        raise ValueError(f"k must be a positive even integer, got {k}")
+    if k * n >= P31:
+        raise UniverseTooLarge(
+            f"virtual universe k*n = {k * n} exceeds the count-sketch hash field"
+        )
+    return (k, *sketch_dimensions(k, error_param(p, n, epsilon), n))
+
+
 class LpSetSketch:
     def __init__(
         self,
@@ -62,32 +90,13 @@ class LpSetSketch:
         *,
         k: int | None = None,
     ) -> None:
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
-        if p == 0.0:
-            raise ValueError(
-                "p = 0 is not supported by the additive sketch; "
-                "use the subset support-size sketch instead"
-            )
-        if p < 0.0 or not math.isfinite(p):
-            raise ValueError(f"p must be positive, got {p}")
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        if k is None:
-            k = sample_rows(epsilon)
-        if k < 2 or k % 2 != 0:
-            raise ValueError(f"k must be a positive even integer, got {k}")
-        if k * n >= P31:
-            raise UniverseTooLarge(
-                f"virtual universe k*n = {k * n} exceeds the count-sketch hash field"
-            )
+        k, width, depth = sketch_shape(n, p, epsilon, k)
         self.n = n
         self.p = float(p)
         self.epsilon = float(epsilon)
         self.k = k
         self.seed = seed
         self.eps_prime = error_param(p, n, epsilon)
-        width, depth = sketch_dimensions(k, self.eps_prime, n)
         self.x_source = AlphaInverseSource(derive_seed(seed, "scalers"), alpha=self.p, n_max=n)
         self.cs = CountSketch(k * n, width, depth, derive_seed(seed, "counters"))
         self._rows = np.arange(1, k + 1, dtype=np.uint64)

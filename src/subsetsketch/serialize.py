@@ -17,7 +17,8 @@ a malformed file; it also refuses a support that no saved sketch could hold
 match the detector supports present, before any sampler is built.  Parts
 that must agree are cross-checked: the header `n` against the system's, an
 `l1` `clock` against the ticks its supports encode, and a priority `seen`
-against the heap coordinates and [1, n].
+against the heap coordinates and [1, n].  An lp file's counter table, which
+its `k` sizes, is checked against the counters present before it is built.
 
 `save_sketch` writes the outer containers piece by piece and encodes each
 leaf (a support, a heap, a set, the counter string) with `json.dumps`, so
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import UnknownKind
 from .hashing import ALPHA_INVERSE_CAP
 from .l1_adapter import L1UniversalSketch
-from .lp_additive import LpSetSketch
+from .lp_additive import LpSetSketch, sketch_shape
 from .priority_sampling import PrioritySketch
 from .setsystem import IntervalSystem, SetSystem
 from .subset_l0 import DETECTOR_BUDGET, L0UniversalSketch, coarse_thresholds
@@ -310,19 +311,23 @@ def _state_lp(sk: LpSetSketch) -> dict:
 
 def _load_lp(d: dict) -> LpSetSketch:
     st = _field(d, "state", dict)
-    sk = LpSetSketch(_field(d, "n", int), _number(d, "p_norm"), _number(d, "epsilon"),
-                     _master_seed(d), k=_field(st, "k", int))
+    n, p, eps = _field(d, "n", int), _number(d, "p_norm"), _number(d, "epsilon")
+    k, width, depth = sketch_shape(n, p, eps, _field(st, "k", int))
     dims = (_field(st, "width", int), _field(st, "depth", int))
-    if (sk.cs.width, sk.cs.depth) != dims:
+    if (width, depth) != dims:
         raise ValueError(
             f"sizing mismatch: file was written with counter dimensions {dims}, "
-            f"rebuilt ({sk.cs.width}, {sk.cs.depth})"
+            f"rebuilt ({width}, {depth})"
         )
     if _field(st, "scaler_cap", int) != ALPHA_INVERSE_CAP:
         raise ValueError("scaler cap mismatch")
+    # the counters present bound the table built: k alone would size it
     raw = base64.b64decode(_field(st, "counters", str))
-    sk.cs.counters[:] = np.frombuffer(raw, dtype=np.float64).reshape(
-        sk.cs.depth, sk.cs.width)
+    if len(raw) != 8 * width * depth:
+        raise ValueError(f"counters hold {len(raw)} bytes, "
+                         f"a {depth} x {width} table needs {8 * width * depth}")
+    sk = LpSetSketch(n, p, eps, _master_seed(d), k=k)
+    sk.cs.counters[:] = np.frombuffer(raw, dtype=np.float64).reshape(depth, width)
     return sk
 
 

@@ -126,6 +126,7 @@ class SetSystem:
         # declared here rather than added on first use: a key added to the
         # instance dict later slows every attribute read of this object
         self._csr = None
+        self._fwd = None
 
     @cached_property
     def masks(self) -> list[int]:
@@ -157,6 +158,23 @@ class SetSystem:
         np.cumsum(per_coord, out=indptr[1:])
         owners = np.repeat(np.arange(len(self._coords), dtype=np.int64), sizes)
         return coords, indptr, owners[order]
+
+    @property
+    def forward_index(self) -> tuple[dict[int, int], list[np.ndarray], np.ndarray]:
+        """(pos, by_set, degree), built on first use: pos maps every covered
+        coordinate to its position in `reverse_csr`'s coords, by_set[j]
+        holds, ascending, the positions of set j's coordinates, and
+        degree[k] counts the sets containing the coordinate at position k."""
+        if self._fwd is None:
+            coords, indptr, ids = self.reverse_csr
+            pos = dict(zip(coords.tolist(), range(coords.size)))
+            degree = np.diff(indptr)
+            owners = np.repeat(np.arange(coords.size), degree)
+            flat = owners[np.argsort(ids, kind="stable")]
+            ends = np.cumsum(np.bincount(ids, minlength=self.num_sets))
+            by_set = np.split(flat, ends[:-1]) if self.num_sets else []
+            self._fwd = pos, by_set, degree
+        return self._fwd
 
     @property
     def num_sets(self) -> int:

@@ -39,7 +39,7 @@ def replay_restore(sampler, coords) -> None:
         sampler._frozen = True
 
 
-_EXPLICIT = ("counts", "members", "slack", "origin", "_sat", "_cand")
+_EXPLICIT = ("counts", "slack", "per_orig", "orig_members", "_projected", "_sat", "_evicted")
 _INTERVAL = ("w", "per_orig", "orig_members", "_projected", "_sat_windows", "_evicted")
 
 

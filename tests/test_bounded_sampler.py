@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subsetsketch.bounded_sampler import BoundedSampler
+from subsetsketch.bounded_sampler import BoundedSampler, _ExplicitState
 from subsetsketch.hashing import PairwiseHash, bernoulli_threshold
 from subsetsketch.setsystem import (
     IntervalSystem,
@@ -198,6 +198,40 @@ def test_projection_matches_naive_on_expanded_system():
                 assert real.support() == ref.support()
 
 
+def test_projected_batches_match_naive_with_bulk_and_evictions(monkeypatch):
+    # five virtual coordinates per origin, budgets above the bulk room, fed
+    # in update_many batches: bulk commits, crossings and evictions that
+    # choose among several virtual coordinates of one origin
+    bulk_commits, shared_evictions = [], []
+    add_many, forget = _ExplicitState.add_many, _ExplicitState._forget
+    monkeypatch.setattr(_ExplicitState, "add_many", lambda self, c, o: (
+        bulk_commits.append(c.size), add_many(self, c, o))[1])
+    monkeypatch.setattr(_ExplicitState, "_forget", lambda self, v, o: (
+        shared_evictions.append(len(self.orig_members[o]) > 1), forget(self, v, o))[1])
+    n, m = 24, 5
+    rng = np.random.default_rng(31)
+    orig = SetSystem(n, [np.flatnonzero(rng.random(n) < q) + 1
+                         for q in (0.3, 0.5, 0.6, 0.7, 0.9)])
+    expanded = SetSystem(n * m, [
+        [(i - 1) * m + j for i in orig.coords_of(t) for j in range(1, m + 1)]
+        for t in range(orig.num_sets)
+    ])
+    for budget in (16, 40):
+        for rate in (1.0, 0.7):
+            seed = budget + int(rate * 10)
+            real = BoundedSampler(orig, budget, rate, seed, universe=n * m,
+                                  project=lambda e: (e - 1) // m + 1)
+            ref = NaiveSampler(expanded, budget, rate, seed, universe=n * m)
+            for _ in range(30):
+                batch = rng.integers(1, n * m + 1, size=int(rng.integers(1, 60)))
+                real.update_many(batch)
+                for x in batch:
+                    ref.update(int(x))
+                assert real.support() == ref.support()
+    assert len(bulk_commits) >= 4
+    assert sum(shared_evictions) >= 10
+
+
 def test_projection_on_intervals_matches_expanded_naive():
     n, m = 6, 3
     fam = IntervalSystem(n, 2, 4)
@@ -333,3 +367,25 @@ def test_vote_only_freezes_when_everything_saturates():
     assert (b.support(), b.intersection_count(range(1, 16))) == snapshot
     assert b.intersection_count(range(1, 16)) >= u
     assert b.intersection_count(range(10, 31)) >= u
+
+
+def test_explicit_state_sized_by_covered_coordinates():
+    from subsetsketch.serialize import sketch_from_state, sketch_state
+    from subsetsketch.subset_l0 import L0UniversalSketch
+
+    n = 10**12
+    system = SetSystem(n, [[1, 7, n], [7, 5 * 10**11]])
+    s = BoundedSampler(system, 2, 1.0, 3)
+    s.update_many([1, 7, n, 7, 5 * 10**11])
+    assert s.support() == [7, 5 * 10**11, n]  # 1 left when its only set passed 2
+    again = BoundedSampler(system, 2, 1.0, 3)
+    again.restore_support(s.support())
+    for samp in (s, again):
+        assert samp._impl.per_orig.size == samp._impl.slack.size == 4
+        assert [samp.intersection_count(system.member(j)) for j in range(2)] == [2, 2]
+        assert samp.intersection_count([1, 5 * 10**11, n]) == 2
+
+    sk = L0UniversalSketch(system, 0.3, seed=3)
+    sk.update_many([1, 7, n, 7, 5 * 10**11])
+    loaded = sketch_from_state(sketch_state(sk))
+    assert [loaded.query(system.member(j)) for j in range(2)] == [3.0, 2.0]

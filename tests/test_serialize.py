@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subsetsketch
 from subsetsketch.errors import DuplicateEntry, UnknownKind
 from subsetsketch.l1_adapter import L1UniversalSketch
-from subsetsketch.lp_additive import LpSetSketch
+from subsetsketch.lp_additive import LpSetSketch, sketch_shape
 from subsetsketch.priority_sampling import PrioritySketch
 from subsetsketch.serialize import (
     FORMAT_VERSION,
@@ -419,6 +424,13 @@ def _seen_without_heap_coordinate(st):
     st["state"]["seen"].remove(st["state"]["heaps"][0][0][0])
 
 
+def _lp_k_with_dimensions(k):
+    def edit(st):
+        _, width, depth = sketch_shape(st["n"], st["p_norm"], st["epsilon"], k)
+        st["state"].update(k=k, width=width, depth=depth)
+    return edit
+
+
 INCONSISTENT = {
     "l0 header n": ("l0", lambda st: st.update(n=st["n"] + 1)),
     "l0-intervals header n": ("l0-intervals", lambda st: st.update(n=st["n"] - 1)),
@@ -429,11 +441,21 @@ INCONSISTENT = {
     "seen omits a heap coordinate": ("priority", _seen_without_heap_coordinate),
     "seen past n": ("priority", lambda st: st["state"]["seen"].append(st["n"] + 1)),
     "seen zero": ("priority", lambda st: st["state"]["seen"].insert(0, 0)),
+    # k sizes the counter table: 2^20 asks for about 11 GB of counters
+    "lp k": ("lp_additive", lambda st: st["state"].update(k=1 << 20)),
+    "lp k, width and depth": ("lp_additive", _lp_k_with_dimensions(1 << 20)),
 }
+# the address space of the child process that loads an edited file
+_CHILD_AS_LIMIT = 3 << 30
+_CHILD_QUERY = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from subsetsketch.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
 @pytest.mark.parametrize("case", list(INCONSISTENT))
-def test_inconsistent_state_exits_2(tmp_path, capsys, case):
+def test_inconsistent_state_exits_2(tmp_path, case):
+    """The edited file is queried in a child process whose address space
+    is limited, so that a load allocating by a number in the file fails
+    there instead of exhausting the machine."""
     from subsetsketch.cli import main
 
     name, edit = INCONSISTENT[case]
@@ -441,10 +463,19 @@ def test_inconsistent_state_exits_2(tmp_path, capsys, case):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(state))
     bad.write_text(json.dumps(_edited(state, edit)))
-    token = "1" if name != "l0-intervals" else "1..40"
+    token = {"l0-intervals": "1..40", "lp_additive": "1..20"}.get(name, "1")
     assert main(["query", str(good), token]) == 0
-    assert main(["query", str(bad), token]) == 2
-    assert "state file" in capsys.readouterr().err
+    src = os.path.dirname(os.path.dirname(subsetsketch.__file__))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_LIMIT, _CHILD_AS_LIMIT))
+
+    run = subprocess.run([sys.executable, "-c", _CHILD_QUERY, src, "query", str(bad), token],
+                         capture_output=True, text=True, preexec_fn=limit_memory,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 2, run.stderr
+    assert "state file" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_l1_clock_at_the_largest_tick_loads():
