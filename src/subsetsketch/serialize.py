@@ -15,14 +15,21 @@ Loading checks the shape of every field it reads and raises ValueError for
 a malformed file; it also refuses a support that no saved sketch could hold
 (see `BoundedSampler.restore_support`) and a `detector_reps` that does not
 match the detector supports present, before any sampler is built.  Parts
-that must agree are cross-checked: the header `n` against the system's, an
-`l1` `clock` against the ticks its supports encode, and a priority `seen`
-against the heap coordinates and [1, n].  An lp file's counter table, which
-its `k` sizes, is checked against the counters present before it is built.
+that must agree are cross-checked: the header `n` and
+`set_system_fingerprint` against the system's, an `l1` `clock` against the
+ticks its supports encode, a priority `seen` against the heap coordinates
+and [1, n], and the weights a priority coordinate carries in its heaps
+against each other.  An lp file's counter table, which its `k` sizes, is
+checked against the counters present before it is built.
 
 `save_sketch` writes the outer containers piece by piece and encodes each
-leaf (a support, a heap, a set, the counter string) with `json.dumps`, so
-the file equals `json.dump`'s byte for byte without holding the whole text.
+leaf (a support, a heap, a set) with `json.dumps`, so the file equals
+`json.dump`'s byte for byte without holding the whole text.  A leaf is
+encoded once per distinct object: the heaps of a priority state share one
+`[coordinate, weight]` list per stored coordinate, so the writer formats
+each stored coordinate once, and the loader likewise builds one heap entry
+per coordinate.  The lp counters, base64 text that JSON never escapes, are
+written between quotes as they are.
 """
 
 from __future__ import annotations
@@ -86,8 +93,8 @@ def system_spec(system) -> dict:
         return {
             "kind": "explicit",
             "n": system.n,
-            "sets": [[int(c) for c in system.coords_of(j)]
-                     for j in range(system.num_sets)],
+            # canonical tuples of Python ints
+            "sets": [list(system.coords_of(j)) for j in range(system.num_sets)],
         }
     raise TypeError(f"unsupported system type: {type(system).__name__}")
 
@@ -107,11 +114,16 @@ def system_from_spec(spec: dict):
 
 
 def _checked_system(d: dict):
-    """The state's set system, whose n must equal the header's."""
+    """The state's set system, whose n and fingerprint must equal the
+    header's."""
     system = system_from_spec(_field(d, "system", dict))
     n = _field(d, "n", int)
     if n != system.n:
         raise ValueError(f"header n = {n} differs from the system's n = {system.n}")
+    fingerprint, actual = _field(d, "set_system_fingerprint", str), system.fingerprint()
+    if fingerprint != actual:
+        raise ValueError(f"set_system_fingerprint {fingerprint!r:.40} differs from "
+                         f"the system's {actual!r}")
     return system
 
 
@@ -246,11 +258,16 @@ def _state_priority(sk: PrioritySketch) -> dict:
     out = _header("priority", n=sk.system.n, p_norm=sk.p, seed=sk.seed,
                   fingerprint=sk.system.fingerprint())
     out["system"] = system_spec(sk.system)
+    # one [coordinate, weight] list per stored coordinate, shared by every
+    # heap holding it, so `_write_json` encodes each pair once; weights
+    # round-trip exactly through JSON's shortest-repr floats, priorities are
+    # recomputed on load
+    weight = {e[2]: e[3] for heap in sk._heaps for e in heap}
+    pair = {c: [c, w] for c, w in weight.items()}
     out["state"] = {
         "k": sk.k,
-        # heap lists in storage order; weights round-trip exactly through
-        # JSON's shortest-repr floats, priorities are recomputed on load
-        "heaps": [[[e[2], e[3]] for e in heap] for heap in sk._heaps],
+        # heap lists in storage order
+        "heaps": [[pair[e[2]] for e in heap] for heap in sk._heaps],
         "seen": sorted(sk._seen),
     }
     return out
@@ -279,13 +296,20 @@ def _load_priority(d: dict) -> PrioritySketch:
     if not set(map(type, seen)) <= {int}:
         raise ValueError("field 'seen' must be a list of integers")
     pairs = [_heap_pairs(stored, j, sk.system.n) for j, stored in enumerate(heaps)]
-    # a coordinate sits in many heaps; hash its uniform once
-    uniform = {c: sk.uniform_for(c) for c in set().union(*(cs for cs, _ in pairs))}
-    for j, (cs, ws) in enumerate(pairs):
+    # a coordinate sits in many heaps with one weight: build its entry once,
+    # hashing its uniform once, and let every heap share it, as `update` does
+    held = set(zip(chain.from_iterable(cs for cs, _ in pairs),
+                   map(float, chain.from_iterable(ws for _, ws in pairs))))
+    weight = dict(held)
+    if len(weight) != len(held):
+        twice = min(c for c, r in Counter(c for c, _ in held).items() if r > 1)
+        raise ValueError(f"heap coordinate {twice} carries two different weights")
+    entry = {c: (w / sk.uniform_for(c), -c, c, w) for c, w in weight.items()}
+    for j, (cs, _) in enumerate(pairs):
         # the saved list order already satisfies the heap invariant; rebuild
         # it verbatim so later displacements replay identically
-        sk._heaps[j] = [(w / uniform[c], -c, c, w) for c, w in zip(cs, map(float, ws))]
-    sk._refs = dict(Counter(c for cs, _ in pairs for c in cs))
+        sk._heaps[j] = list(map(entry.__getitem__, cs))
+    sk._refs = dict(Counter(chain.from_iterable(cs for cs, _ in pairs)))
     sk._seen = set(seen)
     if seen and (min(seen) < 1 or max(seen) > sk.system.n):
         raise ValueError(f"field 'seen' names a coordinate outside [1, {sk.system.n}]")
@@ -293,6 +317,12 @@ def _load_priority(d: dict) -> PrioritySketch:
         missing = min(sk._refs.keys() - sk._seen)
         raise ValueError(f"heap coordinate {missing} is missing from 'seen'")
     return sk
+
+
+class _Base64Text(str):
+    """Text made only of base64 characters, which JSON never escapes, so
+    `_write_json` writes it between quotes without `json.dumps` scanning it;
+    to any other reader it is a plain `str`."""
 
 
 def _state_lp(sk: LpSetSketch) -> dict:
@@ -303,8 +333,8 @@ def _state_lp(sk: LpSetSketch) -> dict:
         "width": sk.cs.width,
         "depth": sk.cs.depth,
         "scaler_cap": ALPHA_INVERSE_CAP,
-        "counters": base64.b64encode(
-            np.ascontiguousarray(sk.cs.counters).tobytes()).decode("ascii"),
+        "counters": _Base64Text(base64.b64encode(
+            np.ascontiguousarray(sk.cs.counters).tobytes()).decode("ascii")),
     }
     return out
 
@@ -322,7 +352,7 @@ def _load_lp(d: dict) -> LpSetSketch:
     if _field(st, "scaler_cap", int) != ALPHA_INVERSE_CAP:
         raise ValueError("scaler cap mismatch")
     # the counters present bound the table built: k alone would size it
-    raw = base64.b64decode(_field(st, "counters", str))
+    raw = base64.b64decode(_field(st, "counters", str, _Base64Text))
     if len(raw) != 8 * width * depth:
         raise ValueError(f"counters hold {len(raw)} bytes, "
                          f"a {depth} x {width} table needs {8 * width * depth}")
@@ -368,23 +398,36 @@ def sketch_from_state(d: dict):
     return _LOADERS[kind](d)
 
 
-def _write_json(f, obj, depth: int) -> None:
+def _write_json(f, obj, depth: int, memo: dict) -> None:
     """Write `json.dump(obj)`'s text, opening containers down to `depth`
     levels piece by piece and giving every leaf to the C-accelerated
-    `json.dumps`; `json.dump` itself runs the pure-Python encoder."""
+    `json.dumps`; `json.dump` itself runs the pure-Python encoder.
+
+    A leaf list of lists is joined from the texts of its items, and each
+    distinct item object is encoded once: `memo` maps `id(item)` to its text
+    for one save, during which the state dict keeps every item alive."""
     if depth and isinstance(obj, dict):
         f.write("{")
         for i, (key, value) in enumerate(obj.items()):
             f.write((", " if i else "") + json.dumps(key) + ": ")
-            _write_json(f, value, depth - 1)
+            _write_json(f, value, depth - 1, memo)
         f.write("}")
     elif depth and isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
         f.write("[")
         for i, item in enumerate(obj):
             if i:
                 f.write(", ")
-            _write_json(f, item, depth - 1)
+            _write_json(f, item, depth - 1, memo)
         f.write("]")
+    elif isinstance(obj, list) and obj and isinstance(obj[0], list):
+        for item in obj:
+            if id(item) not in memo:
+                memo[id(item)] = json.dumps(item)
+        f.write("[" + ", ".join(map(memo.__getitem__, map(id, obj))) + "]")
+    elif type(obj) is _Base64Text:
+        f.write('"')
+        f.write(obj)
+        f.write('"')
     else:
         f.write(json.dumps(obj))
 
@@ -392,7 +435,7 @@ def _write_json(f, obj, depth: int) -> None:
 def save_sketch(sk, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         # top level, "state" and "system", then supports, heaps and sets
-        _write_json(f, sketch_state(sk), 3)
+        _write_json(f, sketch_state(sk), 3, {})
         f.write("\n")
 
 

@@ -275,9 +275,33 @@ def _sketches_of_every_kind():
 @pytest.mark.parametrize("name", list(_sketches_of_every_kind()))
 def test_save_bytes_equal_json_dump(tmp_path, name):
     sk = _sketches_of_every_kind()[name]
-    path = tmp_path / "s.json"
+    path, again = tmp_path / "s.json", tmp_path / "again.json"
     save_sketch(sk, path)
     assert path.read_text(encoding="utf-8") == json.dumps(sketch_state(sk)) + "\n"
+    # a loaded sketch writes the file it was loaded from, byte for byte
+    save_sketch(load_sketch(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+# sha256 of a priority state file whose heaps share coordinates; it pins the
+# file format, so that files written earlier load and save unchanged
+GOLDEN_PRIORITY = "724a1c17e4801e97fd6a68e80c4175b50a66825d295371b7fbe70bc054febb37"
+
+
+def test_priority_golden_state(tmp_path):
+    system = family_random(40, 12, 0.5, seed=31)
+    sk = PrioritySketch(system, 1.5, 4, seed=37)
+    rng = np.random.default_rng(41)
+    for c in rng.permutation(40)[:32] + 1:
+        sk.update(int(c), float(rng.standard_normal()))
+    held = [e[2] for heap in sk._heaps for e in heap]
+    assert len(held) > 2 * len(set(held))  # most stored coordinates sit in several heaps
+    path = tmp_path / "pri.json"
+    save_sketch(sk, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PRIORITY
+    again = tmp_path / "again.json"
+    save_sketch(load_sketch(path), again)
+    assert hashlib.sha256(again.read_bytes()).hexdigest() == GOLDEN_PRIORITY
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +455,22 @@ def _lp_k_with_dimensions(k):
     return edit
 
 
+def _zero_fingerprint(st):
+    st["set_system_fingerprint"] = "0" * 16
+
+
+def _second_weight(st):
+    """Double a coordinate's weight in the second heap that holds it."""
+    held = set()
+    for heap in st["state"]["heaps"]:
+        for pair in heap:
+            if pair[0] in held:
+                pair[1] *= 2
+                return
+            held.add(pair[0])
+    raise AssertionError("no coordinate sits in two heaps")
+
+
 INCONSISTENT = {
     "l0 header n": ("l0", lambda st: st.update(n=st["n"] + 1)),
     "l0-intervals header n": ("l0-intervals", lambda st: st.update(n=st["n"] - 1)),
@@ -444,6 +484,11 @@ INCONSISTENT = {
     # k sizes the counter table: 2^20 asks for about 11 GB of counters
     "lp k": ("lp_additive", lambda st: st["state"].update(k=1 << 20)),
     "lp k, width and depth": ("lp_additive", _lp_k_with_dimensions(1 << 20)),
+    "l0 fingerprint": ("l0", _zero_fingerprint),
+    "l0-intervals fingerprint": ("l0-intervals", _zero_fingerprint),
+    "l1 fingerprint": ("l1", _zero_fingerprint),
+    "priority fingerprint": ("priority", _zero_fingerprint),
+    "priority coordinate with two weights": ("priority", _second_weight),
 }
 # the address space of the child process that loads an edited file
 _CHILD_AS_LIMIT = 3 << 30
