@@ -20,7 +20,7 @@ sketch.update_many([coord for coord, _ in stream.updates])  # one batch
 
 support = set(replay(stream).values)
 print(f"stream: {len(stream.updates)} arrivals, {len(support)} distinct ids")
-print(f"sketch keeps {sketch.ladder[0].size} ids at its exact level\n")
+print(f"sketch keeps {sketch.ladder_stored()} ids across its sampling levels\n")
 
 print(f"{'window':>14} {'truth':>6} {'estimate':>9} {'coarse':>7}")
 for lo, hi in [(1, 2500), (2001, 6000), (4000, 9999), (7500, 10_000)]:

@@ -10,12 +10,14 @@ Quick tour:
     L1UniversalSketch            summed value per member set (insertions)
     PrioritySketch               lp norms, entrywise streams
     LpSetSketch                  additive-error lp norms, turnstile streams
+    MedianEnsemble               median of replicas: every member set at once
     save_sketch / load_sketch    bit-exact state files
     gen_stream / replay          reproducible instances and exact replay
 """
 
 from .bounded_sampler import BoundedSampler
 from .count_sketch import CountSketch, sketch_dimensions
+from .ensemble import MedianEnsemble
 from .errors import (
     DuplicateEntry,
     ModelMismatch,
@@ -29,8 +31,8 @@ from .errors import (
 )
 from .hashing import AlphaInverseSource, PairwiseHash
 from .l1_adapter import L1UniversalSketch
-from .lp_additive import LpEnsemble, LpSetSketch, sample_rows
-from .priority_sampling import PriorityEnsemble, PrioritySketch, sample_budget
+from .lp_additive import LpSetSketch, sample_rows
+from .priority_sampling import PrioritySketch, sample_budget
 from .serialize import load_sketch, save_sketch, sketch_from_state, sketch_state
 from .setsystem import (
     IntervalSystem,
@@ -56,7 +58,7 @@ from .streams import (
     read_stream_file,
     replay,
 )
-from .subset_l0 import CoarseL0Estimator, L0Ensemble, L0UniversalSketch
+from .subset_l0 import CoarseL0Estimator, L0UniversalSketch
 
 __version__ = "0.1.0"
 
@@ -68,14 +70,12 @@ __all__ = [
     "DuplicateEntry",
     "ExactVector",
     "IntervalSystem",
-    "L0Ensemble",
     "L0UniversalSketch",
     "L1UniversalSketch",
-    "LpEnsemble",
     "LpSetSketch",
+    "MedianEnsemble",
     "ModelMismatch",
     "PairwiseHash",
-    "PriorityEnsemble",
     "PrioritySketch",
     "QueryNotInSystem",
     "SetSystem",

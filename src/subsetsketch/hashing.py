@@ -9,13 +9,14 @@ Two consumers sit on top of the same family h(x) = (a*x + b) mod (2^61 - 1):
   positive integers x, used to rescale coordinates so that a fixed order
   statistic of the rescaled vector recovers the lp norm.
 
-All integer arithmetic is exact Python/uint64 arithmetic, so the same seed
-produces bit-identical outputs on every platform.
+Every vectorized evaluation, one hash over many keys (`PairwiseHash.values`),
+many hashes over one key (`coeff_mod_values`) and the per-row shifts of the
+alpha-inverse source, runs through one uint64 multiply-and-fold kernel,
+`_affine61`.  All integer arithmetic is exact Python/uint64 arithmetic, so
+the same seed produces bit-identical outputs on every platform.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,6 +35,26 @@ def _coeffs_from_seed(seed: int) -> tuple[int, int]:
     a = 1 + (((w[0] << 64) | w[1]) % (_M61 - 1))
     b = ((w[2] << 64) | w[3]) % _M61
     return a, b
+
+
+def _affine61(a, x, b) -> np.ndarray:
+    """(a*x + b) mod (2^61 - 1) for broadcastable uint64 operands below the
+    prime.
+
+    Both factors are split at bit 31, so every partial product fits in 64
+    bits; the partial products are folded with 2^61 = 1 (mod prime).
+    """
+    mask31 = _U64((1 << 31) - 1)
+    a_hi, a_lo = a >> _U64(31), a & mask31       # < 2^30, < 2^31
+    x_hi, x_lo = x >> _U64(31), x & mask31
+    term_hh = (a_hi * x_hi) << _U64(1)           # < 2^60; times 2^62 = 2 mod p
+    cross = a_hi * x_lo + a_lo * x_hi            # < 2^62; times 2^31 mod p:
+    term_cr = (cross >> _U64(30)) + ((cross & _U64((1 << 30) - 1)) << _U64(31))
+    ll = a_lo * x_lo                             # < 2^62
+    r = term_hh + term_cr + (ll & _U64(_M61)) + (ll >> _U64(61)) + b  # < 2^63
+    r = (r & _U64(_M61)) + (r >> _U64(61))
+    r = (r & _U64(_M61)) + (r >> _U64(61))       # <= p
+    return np.minimum(r, r - _U64(_M61))
 
 
 class PairwiseHash:
@@ -55,49 +76,12 @@ class PairwiseHash:
     def value(self, x: int) -> int:
         return (self.a * x + self.b) % _M61
 
-    def uniform01(self, x: int) -> float:
-        """Map h(x) to [0, 1); exactly pairwise over distinct keys."""
-        return self.value(x) / _M61
-
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized `value` for uint64 keys below 2^61.
-
-        Products are kept inside 64 bits by splitting operands and folding
-        partial products with 2^61 = 1 (mod prime).  Keys below 2^32 take a
-        cheaper two-term route.
-        """
+        """Vectorized `value` for uint64 keys below 2^61 - 1."""
         xs = np.ascontiguousarray(xs, dtype=np.uint64)
-        if not xs.size:
-            return xs.copy()
-        if int(xs.max()) < (1 << 32):
-            a_hi = self.a >> 32
-            a_lo = self.a & 0xFFFFFFFF
-            t = _U64(a_hi) * xs                  # < 2^61
-            hi = t >> _U64(29)
-            lo = t & _U64((1 << 29) - 1)
-            term1 = hi + (lo << _U64(32))        # (a_hi*x)*2^32 mod p, < 2^62
-            term2 = _U64(a_lo) * xs              # < 2^64
-            term2 = (term2 & _U64(_M61)) + (term2 >> _U64(61))
-            r = term1 + term2 + _U64(self.b)     # < 2^63
-        else:
-            if int(xs.max()) >= _M61:
-                raise ValueError("keys must be below 2^61 - 1")
-            mask30 = _U64((1 << 30) - 1)
-            mask31 = _U64((1 << 31) - 1)
-            x_hi = xs >> _U64(31)                # < 2^30
-            x_lo = xs & mask31                   # < 2^31
-            a_hi = _U64(self.a >> 31)
-            a_lo = _U64(self.a & ((1 << 31) - 1))
-            hh = a_hi * x_hi                     # < 2^60; times 2^62 = 2 mod p
-            term_hh = hh << _U64(1)
-            cross = a_hi * x_lo + a_lo * x_hi    # < 2^62; times 2^31 mod p:
-            term_cr = (cross >> _U64(30)) + ((cross & mask30) << _U64(31))
-            ll = a_lo * x_lo                     # < 2^62
-            term_ll = (ll & _U64(_M61)) + (ll >> _U64(61))
-            r = term_hh + term_cr + term_ll + _U64(self.b)
-        r = (r & _U64(_M61)) + (r >> _U64(61))
-        r = (r & _U64(_M61)) + (r >> _U64(61))
-        return np.where(r >= _U64(_M61), r - _U64(_M61), r)
+        if xs.size and int(xs.max()) >= _M61:
+            raise ValueError("keys must be below 2^61 - 1")
+        return _affine61(_U64(self.a), xs, _U64(self.b))
 
 
 def coeff_mod_values(a: np.ndarray, b: np.ndarray, x: int) -> np.ndarray:
@@ -111,22 +95,7 @@ def coeff_mod_values(a: np.ndarray, b: np.ndarray, x: int) -> np.ndarray:
         raise ValueError("key must be in [0, 2^61 - 1)")
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
-    mask30 = _U64((1 << 30) - 1)
-    mask31 = _U64((1 << 31) - 1)
-    a_hi = a >> _U64(31)
-    a_lo = a & mask31
-    x_hi = _U64(x >> 31)
-    x_lo = _U64(x & ((1 << 31) - 1))
-    hh = a_hi * x_hi                         # < 2^60; times 2^62 = 2 mod p
-    term_hh = hh << _U64(1)
-    cross = a_hi * x_lo + a_lo * x_hi        # < 2^62; times 2^31 mod p:
-    term_cr = (cross >> _U64(30)) + ((cross & mask30) << _U64(31))
-    ll = a_lo * x_lo                         # < 2^62
-    term_ll = (ll & _U64(_M61)) + (ll >> _U64(61))
-    r = term_hh + term_cr + term_ll + b
-    r = (r & _U64(_M61)) + (r >> _U64(61))
-    r = (r & _U64(_M61)) + (r >> _U64(61))
-    return np.where(r >= _U64(_M61), r - _U64(_M61), r)
+    return _affine61(a, _U64(x), b)
 
 
 def bernoulli_threshold(p: float) -> int:
@@ -139,16 +108,6 @@ def bernoulli_threshold(p: float) -> int:
         raise ValueError(f"p must be in [0, 1], got {p}")
     num, den = float(p).as_integer_ratio()
     return -((-num * _M61) // den)  # ceil(p * prime)
-
-
-def bernoulli_predicate(h: PairwiseHash, x: int, p: float) -> int:
-    """1 iff h(x)/prime < p.  Pairwise independent across keys."""
-    return 1 if h.value(x) < bernoulli_threshold(p) else 0
-
-
-def bernoulli_mask(h: PairwiseHash, xs: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized `bernoulli_predicate`; boolean array."""
-    return h.values(xs) < _U64(bernoulli_threshold(p))
 
 
 class AlphaInverseSource:
@@ -189,9 +148,8 @@ class AlphaInverseSource:
         of (row, i) is (h(i) + shift) mod p: with the shifts of a fixed set of
         rows at hand, each coordinate is hashed once for all of them.
         """
-        x = self.hash.values(np.asarray(rows, dtype=np.uint64) * _U64(self.n_max))
-        x += _U64(_M61 - self.hash.b)
-        return np.minimum(x, x - _U64(_M61))
+        keys = np.asarray(rows, dtype=np.uint64) * _U64(self.n_max)
+        return _affine61(_U64(self.hash.a), keys, 0)
 
     def transform(self, hvals: np.ndarray) -> np.ndarray:
         """Map raw hash values to scalers; exposed so callers can reuse hashes."""
@@ -200,14 +158,3 @@ class AlphaInverseSource:
             x = u ** (-1.0 / self.alpha)
         return np.minimum(np.ceil(x), float(ALPHA_INVERSE_CAP))
 
-
-def alpha_inverse_value(src: AlphaInverseSource, pair: tuple[int, int]) -> int:
-    """Functional form of `AlphaInverseSource.value` for a (row, i) pair."""
-    return src.value(*pair)
-
-
-def alpha_inverse_cdf(x: float, alpha: float) -> float:
-    """Reference CDF Pr[X <= x]; used by tests and the selfcheck."""
-    if x < 1:
-        return 0.0
-    return 1.0 - math.floor(x) ** (-alpha) if x >= 1 else 0.0

@@ -18,7 +18,6 @@ polynomially with n.
 from __future__ import annotations
 
 import math
-import statistics
 from functools import cached_property
 
 import numpy as np
@@ -202,44 +201,3 @@ def selection_statistic(magnitudes: np.ndarray, k: int) -> float:
         # everything below the rank is an implicit zero
         return 0.0
     return float(np.partition(magnitudes, magnitudes.size - rank)[magnitudes.size - rank])
-
-
-class LpEnsemble:
-    """Median of independent sketches; boosts per-query success to cover a
-    declared family of subsets of known size."""
-
-    def __init__(
-        self,
-        n: int,
-        p: float,
-        epsilon: float,
-        seed: int,
-        *,
-        num_sets: int = 2,
-        replicas: int | None = None,
-    ) -> None:
-        if replicas is None:
-            replicas = math.ceil(3 * math.log2(max(num_sets, 2)))
-            if replicas % 2 == 0:
-                replicas += 1
-        if replicas < 1:
-            raise ValueError("need at least one replica")
-        self.sketches = [
-            LpSetSketch(n, p, epsilon, derive_seed(seed, "replica", r))
-            for r in range(replicas)
-        ]
-
-    def update(self, coord: int, delta: float) -> None:
-        for sk in self.sketches:
-            sk.update(coord, delta)
-
-    def update_many(self, coords, deltas) -> None:
-        for sk in self.sketches:
-            sk.update_many(coords, deltas)
-
-    def update_dense(self, values) -> None:
-        for sk in self.sketches:
-            sk.update_dense(values)
-
-    def query(self, s) -> float:
-        return float(statistics.median(sk.query(s) for sk in self.sketches))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import statistics
 
 from .errors import DuplicateEntry, QueryNotInSystem
 from .rng import counter_hash, derive_seed
@@ -132,34 +131,3 @@ class PrioritySketch:
 
     def stored_coordinates(self) -> list[int]:
         return sorted(self._refs)
-
-
-class PriorityEnsemble:
-    """Median over independent sketches, enough replicas that the per-set
-    failure probability union-bounds over every member set."""
-
-    def __init__(self, system, p: float, epsilon: float, seed: int, *,
-                 k: int | None = None, replicas: int | None = None) -> None:
-        if isinstance(system, IntervalSystem):
-            system = system.to_explicit()
-        if k is None:
-            k = sample_budget(epsilon)
-        if replicas is None:
-            replicas = math.ceil(3 * math.log2(max(system.num_sets, 2)))
-            if replicas % 2 == 0:
-                replicas += 1
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
-        self.epsilon = float(epsilon)
-        self.sketches = [
-            PrioritySketch(system, p, k, derive_seed(seed, "replica", i))
-            for i in range(replicas)
-        ]
-
-    def update(self, coord: int, value: float) -> None:
-        for s in self.sketches:
-            s.update(coord, value)
-
-    def query(self, q) -> float:
-        return statistics.median(s.query(q) for s in self.sketches)

@@ -12,10 +12,10 @@ Two representations:
 
 * `SetSystem` stores every member set explicitly as its sorted coordinate
   tuple, with a tuple -> set id map for resolving queries and a coordinate
-  -> set ids index for updates; bitmasks, which only the dimension solvers
-  and the set algebra need, and a CSR copy of the index, which bulk
-  sampler restores read, are computed on first use.  Fine up to a few
-  thousand sets.
+  -> set ids index for updates, built once as CSR arrays (which the bulk
+  sampler paths read) and turned into a dict; bitmasks, which only the
+  dimension solvers and the set algebra need, are computed on first use.
+  Fine up to a few thousand sets.
 * `IntervalSystem` represents all intervals with lengths in [min_len,
   max_len] implicitly; samplers exploit the structure instead of enumerating
   the (possibly quadratic) family.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -118,14 +119,13 @@ class SetSystem:
         self._coords = coords
         self._id_by_coords = ids
         self._given_masks = given_masks
-        rev: dict[int, list[int]] = {}
-        for j, cs in enumerate(coords):
-            for c in cs:
-                rev.setdefault(c, []).append(j)
-        self._rev = {c: tuple(js) for c, js in rev.items()}
+        self.reverse_csr = self._build_csr()
+        covered, indptr, owners = self.reverse_csr
+        owners, bounds = owners.tolist(), indptr.tolist()
+        self._rev = {c: tuple(owners[bounds[k]:bounds[k + 1]])
+                     for k, c in enumerate(covered.tolist())}
         # declared here rather than added on first use: a key added to the
         # instance dict later slows every attribute read of this object
-        self._csr = None
         self._fwd = None
 
     @cached_property
@@ -138,19 +138,13 @@ class SetSystem:
     def _id_by_mask(self) -> dict[int, int]:
         return {m: j for j, m in enumerate(self.masks)}
 
-    @property
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reverse index as int64 arrays (coords, indptr, ids), built on
-        first use: coords holds, ascending, every coordinate of some member
-        set, and `ids_containing(coords[k])` is ids[indptr[k]:indptr[k + 1]]."""
-        if self._csr is None:
-            self._csr = self._build_csr()
-        return self._csr
-
     def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reverse index as int64 arrays (coords, indptr, ids): coords
+        holds, ascending, every coordinate of some member set, and
+        `ids_containing(coords[k])` is ids[indptr[k]:indptr[k + 1]]."""
         sizes = np.fromiter(map(len, self._coords), dtype=np.int64,
                             count=len(self._coords))
-        flat = np.fromiter((c for cs in self._coords for c in cs),
+        flat = np.fromiter(chain.from_iterable(self._coords),
                            dtype=np.int64, count=int(sizes.sum()))
         order = np.argsort(flat, kind="stable")
         coords, per_coord = np.unique(flat[order], return_counts=True)
@@ -342,27 +336,6 @@ def _check_exact_budget(n: int) -> None:
         )
 
 
-def hh_set(system, v) -> set[int]:
-    """Coordinates isolated by v: {i : exists s with supp(s . v) = {i}}."""
-    system = _as_explicit(system)
-    vm = _support_mask(v, system.n)
-    isolated = 0
-    for m in system.masks:
-        t = m & vm
-        if t and t & (t - 1) == 0:
-            isolated |= t
-    return set(_coords_from_mask(isolated))
-
-
-def _support_mask(v, n: int) -> int:
-    if isinstance(v, dict):
-        return _mask_from_coords((c for c, x in v.items() if x != 0), n)
-    arr = np.asarray(v)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise ValueError(f"expected a length-{n} vector")
-    return _mask_from_coords((i + 1 for i in range(n) if arr[i] != 0), n)
-
-
 def hh_dim_exact(system) -> int:
     """Exact heavy-hitter dimension by search over binary vectors (n <= 24).
 
@@ -450,18 +423,6 @@ def vc_dim_exact(system) -> int:
             return d
         current = list(nxt)
         d += 1
-
-
-def incidence_matrix(system) -> np.ndarray:
-    """0/1 incidence matrix (sets x coordinates) for small universes."""
-    system = _as_explicit(system)
-    if system.n > 64:
-        raise UniverseTooLarge("incidence matrices supported for n <= 64")
-    out = np.zeros((system.num_sets, system.n), dtype=np.int8)
-    for j, cs in enumerate(system._coords):
-        for c in cs:
-            out[j, c - 1] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Composition, bottom up:
   a constant factor.
 * `L0UniversalSketch` turns the coarse bracket into a sampling level whose
   surviving intersection count, rescaled, is the final estimate.
-* `L0Ensemble` medians independent sketches so that all member sets
-  succeed simultaneously rather than one at a time.
+* `ensemble.MedianEnsemble` medians independent sketches so that all
+  member sets succeed simultaneously rather than one at a time.
 
 Detectors whose rate is 1 all alias one shared exact sampler.  Sub-unit
 rates are pooled: a stream item costs one vectorized hash batch per
@@ -383,56 +383,3 @@ class L0UniversalSketch:
     def ladder_stored(self) -> int:
         """Coordinates held across ladder levels (detector space separate)."""
         return sum(s.size for s in self.ladder)
-
-
-class L0Ensemble:
-    """Independent sketch replicas whose per-query median lets all member
-    sets of a finite system succeed at once.
-
-    Default replica count grows with log of the family size; it is forced
-    odd so the median is always a realized estimate.
-    """
-
-    def __init__(
-        self,
-        system,
-        epsilon: float,
-        seed: int,
-        *,
-        replicas: int | None = None,
-        universe: int | None = None,
-        project=None,
-        detector_reps: int | None = None,
-    ) -> None:
-        if replicas is None:
-            replicas = math.ceil(3 * math.log2(max(system.num_sets, 2)))
-        replicas = int(replicas)
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if replicas % 2 == 0:
-            replicas += 1
-        self.system = system
-        self.replicas = replicas
-        self.sketches = [
-            L0UniversalSketch(
-                system,
-                epsilon,
-                derive_seed(seed, "replica", i),
-                universe=universe,
-                project=project,
-                detector_reps=detector_reps,
-            )
-            for i in range(replicas)
-        ]
-
-    def update(self, coord: int) -> None:
-        for sk in self.sketches:
-            sk.update(coord)
-
-    def update_many(self, coords) -> None:
-        for sk in self.sketches:
-            sk.update_many(coords)
-
-    def query(self, q) -> float:
-        vals = sorted(sk.query(q) for sk in self.sketches)
-        return vals[self.replicas // 2]

@@ -1,0 +1,71 @@
+"""Reference forms of the hashing and set-system primitives that only tests
+use: scalar and boolean views of the pairwise family, the alpha-inverse law,
+the set of coordinates a vector isolates, and the incidence matrix."""
+
+import math
+
+import numpy as np
+
+from subsetsketch.errors import UniverseTooLarge
+from subsetsketch.hashing import MERSENNE61, AlphaInverseSource, PairwiseHash, bernoulli_threshold
+from subsetsketch.setsystem import _as_explicit, _coords_from_mask, _mask_from_coords
+
+
+def uniform01(h: PairwiseHash, x: int) -> float:
+    """Map h(x) to [0, 1); exactly pairwise over distinct keys."""
+    return h.value(x) / MERSENNE61
+
+
+def bernoulli_predicate(h: PairwiseHash, x: int, p: float) -> int:
+    """1 iff h(x)/prime < p.  Pairwise independent across keys."""
+    return 1 if h.value(x) < bernoulli_threshold(p) else 0
+
+
+def bernoulli_mask(h: PairwiseHash, xs: np.ndarray, p: float) -> np.ndarray:
+    """Vectorized `bernoulli_predicate`; boolean array."""
+    return h.values(xs) < np.uint64(bernoulli_threshold(p))
+
+
+def alpha_inverse_value(src: AlphaInverseSource, pair: tuple[int, int]) -> int:
+    """Functional form of `AlphaInverseSource.value` for a (row, i) pair."""
+    return src.value(*pair)
+
+
+def alpha_inverse_cdf(x: float, alpha: float) -> float:
+    """Reference CDF Pr[X <= x] of the alpha-inverse law."""
+    if x < 1:
+        return 0.0
+    return 1.0 - math.floor(x) ** (-alpha)
+
+
+def hh_set(system, v) -> set[int]:
+    """Coordinates isolated by v: {i : exists s with supp(s . v) = {i}}."""
+    system = _as_explicit(system)
+    vm = _support_mask(v, system.n)
+    isolated = 0
+    for m in system.masks:
+        t = m & vm
+        if t and t & (t - 1) == 0:
+            isolated |= t
+    return set(_coords_from_mask(isolated))
+
+
+def _support_mask(v, n: int) -> int:
+    if isinstance(v, dict):
+        return _mask_from_coords((c for c, x in v.items() if x != 0), n)
+    arr = np.asarray(v)
+    if arr.ndim != 1 or arr.shape[0] != n:
+        raise ValueError(f"expected a length-{n} vector")
+    return _mask_from_coords((i + 1 for i in range(n) if arr[i] != 0), n)
+
+
+def incidence_matrix(system) -> np.ndarray:
+    """0/1 incidence matrix (sets x coordinates) for small universes."""
+    system = _as_explicit(system)
+    if system.n > 64:
+        raise UniverseTooLarge("incidence matrices supported for n <= 64")
+    out = np.zeros((system.num_sets, system.n), dtype=np.int8)
+    for j in range(system.num_sets):
+        for c in system.coords_of(j):
+            out[j, c - 1] = 1
+    return out

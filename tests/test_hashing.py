@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from reference import (
+    alpha_inverse_cdf,
+    alpha_inverse_value,
+    bernoulli_mask,
+    bernoulli_predicate,
+    uniform01,
+)
 from subsetsketch.hashing import (
     ALPHA_INVERSE_CAP,
     MERSENNE61,
     AlphaInverseSource,
     PairwiseHash,
-    alpha_inverse_cdf,
-    alpha_inverse_value,
-    bernoulli_mask,
-    bernoulli_predicate,
     bernoulli_threshold,
     coeff_mod_values,
 )
@@ -26,12 +29,17 @@ def test_scalar_matches_reference_formula():
 
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(7)
-    xs = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
-    for seed in [3, 11, 400]:
-        h = PairwiseHash(seed)
-        vec = h.values(xs)
-        ref = np.array([h.value(int(x)) for x in xs], dtype=np.uint64)
-        assert np.array_equal(vec, ref)
+    inputs = [
+        rng.integers(0, 2**32, size=5000, dtype=np.uint64),
+        # either side of the bit-31 split and of 32-bit keys
+        np.array([2**31 - 1, 2**31, 2**32 - 1, 2**32], dtype=np.uint64),
+    ]
+    for xs in inputs:
+        for seed in [3, 11, 400]:
+            h = PairwiseHash(seed)
+            vec = h.values(xs)
+            ref = np.array([h.value(int(x)) for x in xs], dtype=np.uint64)
+            assert np.array_equal(vec, ref)
 
 
 def test_vectorized_wide_keys_match_scalar():
@@ -58,7 +66,7 @@ def test_values_in_field():
     xs = np.arange(1, 10000, dtype=np.uint64)
     v = h.values(xs)
     assert v.max() < MERSENNE61
-    u = h.uniform01(123)
+    u = uniform01(h, 123)
     assert 0.0 <= u < 1.0
 
 
@@ -127,6 +135,9 @@ def test_alpha_inverse_scalar_matches_vector():
         for i in range(1, 51):
             assert src.value(row, i) == src.values(np.array([row]), np.array([i]))[0]
             assert alpha_inverse_value(src, (row, i)) == src.value(row, i)
+    rows = [0, 1, 2, 7, 2**20, 2**40]
+    want = [src.hash.a * r * src.n_max % MERSENNE61 for r in rows]
+    assert src.row_shifts(np.array(rows, dtype=np.uint64)).tolist() == want
 
 
 def test_alpha_inverse_cap_under_tiny_alpha():

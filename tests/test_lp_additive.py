@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from subsetsketch.ensemble import MedianEnsemble
 from subsetsketch.errors import UniverseTooLarge
 from subsetsketch.lp_additive import (
-    LpEnsemble,
     LpSetSketch,
     error_param,
     sample_rows,
@@ -192,11 +192,11 @@ def test_selection_statistic_ranks():
 
 
 def test_ensemble_median_and_defaults():
-    ens = LpEnsemble(30, 1.0, 0.5, seed=4, num_sets=16)
+    ens = MedianEnsemble(lambda s: LpSetSketch(30, 1.0, 0.5, s), seed=4, num_sets=16)
     assert len(ens.sketches) % 2 == 1
     assert len(ens.sketches) == 13
     rng = np.random.default_rng(3)
     v = rng.standard_normal(30)
-    ens.update_dense(v)
+    ens.update_many(np.arange(1, 31), v)
     qs = sorted(sk.query(range(1, 16)) for sk in ens.sketches)
     assert ens.query(range(1, 16)) == qs[len(qs) // 2]

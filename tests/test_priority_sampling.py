@@ -7,12 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from subsetsketch.ensemble import MedianEnsemble
 from subsetsketch.errors import DuplicateEntry, QueryNotInSystem
-from subsetsketch.priority_sampling import (
-    PriorityEnsemble,
-    PrioritySketch,
-    sample_budget,
-)
+from subsetsketch.priority_sampling import PrioritySketch, sample_budget
 from subsetsketch.rng import counter_hash, derive_seed
 from subsetsketch.setsystem import IntervalSystem, SetSystem, hh_dim_exact
 
@@ -199,7 +196,9 @@ def test_interval_system_accepted():
 
 def test_ensemble_median():
     system = SetSystem(200, [range(1, 101), range(50, 171)])
-    ens = PriorityEnsemble(system, 1.0, 0.5, seed=31)
+    k = sample_budget(0.5)
+    ens = MedianEnsemble(lambda s: PrioritySketch(system, 1.0, k, s), seed=31,
+                         num_sets=system.num_sets)
     assert ens.replicas % 2 == 1
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 3.0, size=201)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import hh_set, incidence_matrix
 from subsetsketch.errors import UniverseMismatch, UniverseTooLarge
 from subsetsketch.rng import derive_seed
 from subsetsketch.setsystem import (
@@ -14,8 +15,6 @@ from subsetsketch.setsystem import (
     family_singletons,
     hh_dim_exact,
     hh_dim_greedy_lower,
-    hh_set,
-    incidence_matrix,
     parse_sets_lines,
     union_product,
     union_systems,
@@ -257,6 +256,15 @@ def test_dedup_and_reverse_index():
     assert s.ids_containing(4) == ()
     assert s.member_id([2, 1]) == 0
     assert s.member_id([1, 3]) is None
+    # the index built from the CSR arrays equals one built set by set
+    for s in (family_random(300, 40, 0.3, seed=6), SetSystem(3, []), SetSystem(3, [[]])):
+        ref = {}
+        for j in range(s.num_sets):
+            for c in s.coords_of(j):
+                ref.setdefault(c, []).append(j)
+        for c in range(s.n + 2):
+            got = s.ids_containing(c)
+            assert got == tuple(ref.get(c, ())) and all(type(j) is int for j in got)
 
 
 def test_member_id_accepts_every_collection_form():

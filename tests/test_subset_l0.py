@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from subsetsketch.bounded_sampler import BoundedSampler
+from subsetsketch.ensemble import MedianEnsemble
 from subsetsketch.errors import QueryNotInSystem
 from subsetsketch.setsystem import IntervalSystem, SetSystem, family_random
 from subsetsketch.subset_l0 import (
     DETECTOR_BUDGET,
     CoarseL0Estimator,
-    L0Ensemble,
     L0UniversalSketch,
     ThresholdDetector,
     detector_repetitions,
@@ -281,7 +281,8 @@ def test_seed_determinism():
 
 def test_ensemble_defaults_and_median():
     system = family_random(500, 16, 0.25, seed=2)
-    ens = L0Ensemble(system, 0.5, seed=77)
+    ens = MedianEnsemble(lambda s: L0UniversalSketch(system, 0.5, s), seed=77,
+                         num_sets=system.num_sets)
     assert ens.replicas == 13  # ceil(3 * log2(16)) forced odd
     rng = np.random.default_rng(5)
     support = rng.choice(np.arange(1, 501), size=120, replace=False)
@@ -307,5 +308,3 @@ def test_validation_errors():
         ThresholdDetector(FULL_400, 0, 1)
     with pytest.raises(ValueError):
         ThresholdDetector(FULL_400, 10, 1, reps=4)
-    with pytest.raises(ValueError):
-        L0Ensemble(FULL_400, 0.5, 1, replicas=0)
