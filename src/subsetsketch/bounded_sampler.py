@@ -40,11 +40,12 @@ evictable one.
 Counts only grow between evictions, and an arrival adds at most 1 to any
 count.  So while room = budget - max(count) is at least `_BULK_MIN_ROOM`,
 the next `room` distinct arrivals not already in H can neither evict, nor
-be skipped as saturated, nor freeze the sampler: `update_many` commits
-them in one array pass per backend (`add_many`), and only the rest of the
-batch goes through `insert_presampled`.  `restore_support` rebuilds a
-sampler from a saved support with the same `add_many` on a fresh state,
-then checks that the result is settled.
+be skipped as saturated, nor freeze the sampler: `insert_sampled`, given
+arrivals whose xi is 1 by `update_many`'s own filter or by the columnar
+one of `subset_l0._SamplerPool`, commits them in one array pass per
+backend (`add_many`), and only the rest goes through `insert_presampled`.
+`restore_support` rebuilds a sampler from a saved support with the same
+`add_many` on a fresh state, then checks that the result is settled.
 """
 
 from __future__ import annotations
@@ -53,12 +54,25 @@ import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from .hashing import PairwiseHash, bernoulli_threshold
-from .setsystem import IntervalSystem, SetSystem
+from .setsystem import IntervalSystem, SetSystem, as_interval
 
 _INF = np.iinfo(np.int32).max // 2  # larger than any window count
-# the smallest room (and xi-filtered batch) that `update_many` commits in
+# the smallest room (and xi-filtered batch) that `insert_sampled` commits in
 # bulk; below it the array passes cost more than per-coordinate inserts
 _BULK_MIN_ROOM = 16
+
+
+def checked_coords(coords, universe: int) -> np.ndarray:
+    """`coords` as an int64 array, or ValueError naming the first coordinate
+    outside [1, universe]."""
+    try:
+        arr = np.asarray(coords, dtype=np.int64)
+        bad = arr[(arr < 1) | (arr > universe)]
+    except OverflowError:  # beyond int64, so outside every universe
+        bad = [c for c in coords if not 1 <= int(c) <= universe]
+    if len(bad):
+        raise ValueError(f"coordinate {bad[0]} outside universe [1, {universe}]")
+    return arr
 
 
 class BoundedSampler:
@@ -129,12 +143,7 @@ class BoundedSampler:
     # -- stream --------------------------------------------------------------
 
     def update(self, coord: int) -> None:
-        coord = int(coord)
-        if not 1 <= coord <= self.universe:
-            raise ValueError(f"coordinate {coord} outside universe [1, {self.universe}]")
-        if self._frozen or coord in self._h or not self.sampled(coord):
-            return
-        self.insert_presampled(coord)
+        self.update_many((coord,))
 
     def insert_presampled(self, coord: int) -> None:
         """Insert a coordinate whose sampling decision was made externally."""
@@ -153,16 +162,17 @@ class BoundedSampler:
             self._frozen = True
 
     def update_many(self, coords) -> None:
-        arr = np.asarray(coords, dtype=np.int64)
-        if arr.size == 0:
-            return
-        if arr.min() < 1 or arr.max() > self.universe:
-            bad = arr[(arr < 1) | (arr > self.universe)][0]
-            raise ValueError(f"coordinate {bad} outside universe [1, {self.universe}]")
+        arr = checked_coords(coords, self.universe)
         if self._frozen:
             return
         if self.rate < 1.0:
             arr = arr[self._sampled_many(arr)]
+        self.insert_sampled(arr)
+
+    def insert_sampled(self, arr: np.ndarray) -> None:
+        """Insert, in stream order, an int64 array of arrivals whose xi the
+        caller found to be 1: the eviction-free leading ones in bulk, the
+        rest through `insert_presampled`."""
         if arr.size >= _BULK_MIN_ROOM:
             arr = arr[self._commit_bulk(arr):]
         for c in arr.tolist():
@@ -570,8 +580,6 @@ class _IntervalState(_OriginState):
             self._forget(victim, vorig)
 
     def intersection_count(self, q) -> int:
-        from .setsystem import as_interval
-
         iv = as_interval(q)
         if iv is None:
             coords = sorted(set(int(c) for c in q))

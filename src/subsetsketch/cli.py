@@ -174,7 +174,10 @@ def cmd_build(args) -> int:
     except OverflowError:  # too large for a machine integer, so in no universe
         raise CliError(EXIT_PARSE, "stream coordinate outside the universe")
 
-    save_sketch(sk, args.out)
+    try:
+        save_sketch(sk, args.out)
+    except OSError as e:
+        raise CliError(EXIT_PARSE, f"out: {e}")
     print(f"wrote {args.out} ({args.sketch}, {len(stream.updates)} updates)")
     return EXIT_OK
 
@@ -289,9 +292,12 @@ def cmd_gen(args) -> int:
     text = "\n".join(stream.lines()) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
+    except OSError as e:
+        raise CliError(EXIT_PARSE, f"out: {e}")
     return EXIT_OK
 
 

@@ -72,7 +72,10 @@ def sketch_dimensions(k: int, eps_prime: float, fail_scale: int) -> tuple[int, i
         raise ValueError("k must be >= 1")
     if not 0.0 < eps_prime <= 1.0:
         raise ValueError("eps_prime must be in (0, 1]")
-    width = max(200 * k, math.ceil(24.0 / (eps_prime * eps_prime)))
+    try:
+        width = max(200 * k, math.ceil(24.0 / (eps_prime * eps_prime)))
+    except (ZeroDivisionError, OverflowError):  # eps_prime^2 underflows
+        raise ValueError(f"eps_prime {eps_prime} is too small to size the width") from None
     q = k / width + 1.0 / (width * eps_prime * eps_prime)
     per_row = 2.0 * math.sqrt(q * (1.0 - q))
     depth = max(7, math.ceil(math.log(100.0 * max(fail_scale, 2)) / math.log(1.0 / per_row)))

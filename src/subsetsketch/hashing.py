@@ -10,7 +10,7 @@ Two consumers sit on top of the same family h(x) = (a*x + b) mod (2^61 - 1):
   statistic of the rescaled vector recovers the lp norm.
 
 Every vectorized evaluation, one hash over many keys (`PairwiseHash.values`),
-many hashes over one key (`coeff_mod_values`) and the per-row shifts of the
+many hashes over many keys (`coeff_mod_values`) and the per-row shifts of the
 alpha-inverse source, runs through one uint64 multiply-and-fold kernel,
 `_affine61`.  All integer arithmetic is exact Python/uint64 arithmetic, so
 the same seed produces bit-identical outputs on every platform.
@@ -84,18 +84,21 @@ class PairwiseHash:
         return _affine61(_U64(self.a), xs, _U64(self.b))
 
 
-def coeff_mod_values(a: np.ndarray, b: np.ndarray, x: int) -> np.ndarray:
-    """(a*x + b) mod (2^61 - 1) for coefficient arrays and one scalar key.
+def coeff_mod_values(a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
+    """(a[i]*xs[j] + b[i]) mod (2^61 - 1) for coefficient arrays and a key
+    array, as a (len(a), len(xs)) matrix.
 
-    The transpose of `PairwiseHash.values`: many hash functions applied to a
-    single key, used to make one sampling decision per sketch instance per
-    stream item without a Python loop.
+    The transpose of `PairwiseHash.values`: many hash functions applied to
+    the same keys, used to make the sampling decisions of many sketch
+    instances over one batch without a Python loop per instance.
     """
-    if not 0 <= x < _M61:
-        raise ValueError("key must be in [0, 2^61 - 1)")
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = np.ascontiguousarray(b, dtype=np.uint64)
-    return _affine61(a, _U64(x), b)
+    xs = np.asarray(xs)
+    # checked before the cast, which would wrap or refuse a negative key
+    if xs.size and not (0 <= xs.min() and xs.max() < _M61):
+        raise ValueError("keys must be in [0, 2^61 - 1)")
+    a = np.ascontiguousarray(a, dtype=np.uint64)[:, None]
+    b = np.ascontiguousarray(b, dtype=np.uint64)[:, None]
+    return _affine61(a, xs.astype(np.uint64).reshape(1, -1), b)
 
 
 def bernoulli_threshold(p: float) -> int:

@@ -36,7 +36,10 @@ def sample_rows(epsilon: float) -> int:
     """Number of scaler rows k; even, Theta(1/epsilon^2)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return 2 * math.ceil(25.0 / (epsilon * epsilon))
+    try:
+        return 2 * math.ceil(25.0 / (epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):  # epsilon^2 underflows
+        raise ValueError(f"epsilon {epsilon} is too small to size the rows") from None
 
 
 def error_param(p: float, n: int, epsilon: float) -> float:

@@ -30,7 +30,10 @@ def sample_budget(epsilon: float) -> int:
     probability at most 1/((k-1) * epsilon**2) <= 0.1 by Chebyshev."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    return math.ceil(10.0 / (epsilon * epsilon)) + 1
+    try:
+        return math.ceil(10.0 / (epsilon * epsilon)) + 1
+    except (ZeroDivisionError, OverflowError):  # epsilon^2 underflows
+        raise ValueError(f"epsilon {epsilon} is too small to size a budget") from None
 
 
 class PrioritySketch:
@@ -39,8 +42,8 @@ class PrioritySketch:
             system = system.to_explicit()
         if k < 1:
             raise ValueError("sample budget k must be >= 1")
-        if p < 0:
-            raise ValueError("norm exponent p must be >= 0")
+        if not 0 <= p < math.inf:  # refuses NaN too
+            raise ValueError(f"norm exponent p must be finite and >= 0, got {p}")
         self.system = system
         self.p = float(p)
         self.k = int(k)

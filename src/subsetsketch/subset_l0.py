@@ -14,9 +14,11 @@ Composition, bottom up:
 * `ensemble.MedianEnsemble` medians independent sketches so that all
   member sets succeed simultaneously rather than one at a time.
 
-Detectors whose rate is 1 all alias one shared exact sampler.  Sub-unit
-rates are pooled: a stream item costs one vectorized hash batch per
-component instead of a Python loop over instances.
+Detectors whose rate is 1 all alias one shared exact sampler.  Each sketch
+feeds all of its samplers, the rate-1 ones included, through one
+`_SamplerPool`: a batch costs one vectorized hash evaluation per block of
+samplers instead of a Python loop over instances, and `update(c)` of every
+class here is `update_many((c,))`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .bounded_sampler import BoundedSampler
+from .bounded_sampler import BoundedSampler, checked_coords
 from .errors import QueryNotInSystem
 from .hashing import coeff_mod_values
 from .rng import derive_seed
@@ -70,54 +72,42 @@ def resolve_member(system, q):
     return system.member(sid)
 
 
-class _SamplerPool:
-    """Columnar xi decisions across many sub-unit-rate samplers.
+# xi decisions (samplers x batch items) that one hash call of a pool makes
+_POOL_CHUNK_CELLS = 1 << 14
 
-    Packs each instance's hash coefficients and acceptance threshold so
-    one stream item costs a single vectorized evaluation; hits fall
-    through to the owning sampler's presampled insert.
+
+class _SamplerPool:
+    """Columnar xi decisions for every sampler of a sketch.
+
+    Packs each sampler's hash coefficients and acceptance threshold once;
+    a batch is hashed for a block of samplers at a time (unless all are
+    frozen), and each unfrozen one takes its hits, in stream order,
+    through `insert_sampled`.
+    A rate-1 sampler's threshold, 2^61 - 1, is above every hash value, so
+    it takes every item.  Blocks group samplers, not items: a batch of m
+    items is hashed for max(1, _POOL_CHUNK_CELLS // m) samplers per call,
+    which bounds the hits held at once to one block's.
     """
 
-    def __init__(self) -> None:
-        self.samplers: list[BoundedSampler] = []
-        self._packed = None
-
-    def add(self, sampler: BoundedSampler) -> None:
-        if sampler.rate >= 1.0:
-            raise ValueError("pool holds only sub-unit sampling rates")
-        self.samplers.append(sampler)
-        self._packed = None
-
-    def _pack(self):
-        coeffs = [s.sampling_coefficients for s in self.samplers]
-        a = np.array([c[0] for c in coeffs], dtype=np.uint64)
-        b = np.array([c[1] for c in coeffs], dtype=np.uint64)
-        thr = np.array([c[2] for c in coeffs], dtype=np.uint64)
-        self._packed = (a, b, thr)
-        return self._packed
-
-    def update(self, coord: int) -> None:
-        if not self.samplers:
-            return
-        packed = self._packed if self._packed is not None else self._pack()
-        a, b, thr = packed
-        hits = np.nonzero(coeff_mod_values(a, b, coord) < thr)[0]
-        for i in hits:
-            self.samplers[int(i)].insert_presampled(coord)
+    def __init__(self, samplers) -> None:
+        self.samplers = list(samplers)
+        a, b, t = zip(*(s.sampling_coefficients for s in self.samplers))
+        self._a = np.array(a, dtype=np.uint64)
+        self._b = np.array(b, dtype=np.uint64)
+        self._t = np.array(t, dtype=np.uint64)[:, None]
 
     def update_many(self, coords) -> None:
-        # small batches: one columnar decision per item beats touching every
-        # sampler; large batches: per-sampler vectorized masks win.  Both
-        # orders preserve each instance's view of the stream.
-        if not self.samplers:
-            return
-        arr = np.asarray(coords)
-        if arr.size <= 64:
-            for c in arr:
-                self.update(int(c))
-            return
-        for s in self.samplers:
-            s.update_many(arr)
+        arr = checked_coords(coords, self.samplers[0].universe)
+        step = max(1, _POOL_CHUNK_CELLS // max(arr.size, 1))
+        for lo in range(0, len(self.samplers), step):
+            part = slice(lo, lo + step)
+            block = self.samplers[part]
+            if all(s._frozen for s in block):
+                continue
+            xi = coeff_mod_values(self._a[part], self._b[part], arr) < self._t[part]
+            for i in np.flatnonzero(xi.any(axis=1)).tolist():
+                if not block[i]._frozen:
+                    block[i].insert_sampled(arr[xi[i]])
 
 
 class ThresholdDetector:
@@ -154,9 +144,8 @@ class ThresholdDetector:
         self.reps = detector_repetitions(self.universe) if reps is None else int(reps)
         if self.reps < 1 or self.reps % 2 == 0:
             raise ValueError("reps must be odd and positive")
-        self._shared = shared_exact is not None and self.rate >= 1.0
         if self.rate >= 1.0:
-            base = shared_exact if self._shared else BoundedSampler(
+            base = shared_exact if shared_exact is not None else BoundedSampler(
                 system,
                 DETECTOR_BUDGET,
                 1.0,
@@ -182,35 +171,21 @@ class ThresholdDetector:
                 for i in range(self.reps)
             ]
             self.sampled_instances = list(self.instances)
+        self._fed = [s for s in self.instances if s is not shared_exact]
 
     def update(self, coord: int) -> None:
-        if self._shared:
-            return
-        if self.rate >= 1.0:
-            self.instances[0].update(coord)
-            return
-        for s in self.instances:
-            s.update(coord)
+        self.update_many((coord,))
 
     def update_many(self, coords) -> None:
-        if self._shared:
-            return
-        if self.rate >= 1.0:
-            self.instances[0].update_many(coords)
-            return
-        for s in self.instances:
+        for s in self._fed:
             s.update_many(coords)
 
     def query(self, q) -> bool:
         return self.query_resolved(resolve_member(self.system, q))
 
     def query_resolved(self, qq) -> bool:
-        if self.rate >= 1.0:
-            med = self.instances[0].intersection_count(qq)
-        else:
-            counts = sorted(s.intersection_count(qq) for s in self.instances)
-            med = counts[self.reps // 2]
-        return med >= min(self.threshold, DETECTOR_BUDGET)
+        counts = sorted([s.intersection_count(qq) for s in self.instances])
+        return counts[len(counts) // 2] >= min(self.threshold, DETECTOR_BUDGET)
 
 
 class CoarseL0Estimator:
@@ -250,10 +225,8 @@ class CoarseL0Estimator:
             project=project,
             vote_only=True,
         )
-        self.pool = _SamplerPool()
-        self.banks: list[ThresholdDetector] = []
-        for j, threshold in enumerate(thresholds):
-            det = ThresholdDetector(
+        self.banks = [
+            ThresholdDetector(
                 system,
                 threshold,
                 derive_seed(seed, "bank", j),
@@ -262,32 +235,26 @@ class CoarseL0Estimator:
                 shared_exact=self.exact,
                 reps=reps,
             )
-            for s in det.sampled_instances:
-                self.pool.add(s)
-            self.banks.append(det)
+            for j, threshold in enumerate(thresholds)
+        ]
+        self.pool = _SamplerPool(
+            [self.exact, *(s for det in self.banks for s in det.sampled_instances)])
 
     def update(self, coord: int) -> None:
-        coord = int(coord)
-        if not 1 <= coord <= self.universe:
-            raise ValueError(
-                f"coordinate {coord} outside universe [1, {self.universe}]"
-            )
-        self.exact.update(coord)
-        self.pool.update(coord)
+        self.update_many((coord,))
 
     def update_many(self, coords) -> None:
-        self.exact.update_many(coords)
         self.pool.update_many(coords)
 
     def query(self, q) -> int:
         return self.query_resolved(resolve_member(self.system, q))
 
     def query_resolved(self, qq) -> int:
-        if not self.banks[0].query_resolved(qq):
-            return 0
-        for j in range(1, self.levels + 1):
-            if not self.banks[j].query_resolved(qq):
-                return 2 ** j
+        # the rate-1 banks all alias `exact`, so one count decides their votes
+        exact = self.exact.intersection_count(qq)
+        for j, det in enumerate(self.banks):
+            if not (det.query_resolved(qq) if det.sampled_instances else exact >= det.threshold):
+                return 2 ** j if j else 0
         fallback = 2 ** (self.levels + 1)
         log.warning(
             "all %d coarse banks voted yes; returning fallback %d",
@@ -323,7 +290,10 @@ class L0UniversalSketch:
         self.epsilon = float(epsilon)
         self.seed = seed
         self.universe = universe if universe is not None else system.n
-        self.budget = math.ceil(400 / self.epsilon**2)
+        try:
+            self.budget = math.ceil(400 / self.epsilon**2)
+        except (ZeroDivisionError, OverflowError):  # eps^2 underflows
+            raise ValueError(f"epsilon {epsilon} is too small to size a budget") from None
         self.levels = math.ceil(math.log2(max(self.universe, 2))) + 1
         self.coarse = CoarseL0Estimator(
             system,
@@ -332,10 +302,8 @@ class L0UniversalSketch:
             project=project,
             reps=detector_reps,
         )
-        self.pool = _SamplerPool()
-        self.ladder: list[BoundedSampler] = []
-        for i in range(1, self.levels + 1):
-            s = BoundedSampler(
+        self.ladder = [
+            BoundedSampler(
                 system,
                 self.budget,
                 2.0 ** (1 - i),
@@ -343,23 +311,14 @@ class L0UniversalSketch:
                 universe=universe,
                 project=project,
             )
-            if s.rate < 1.0:
-                self.pool.add(s)
-            self.ladder.append(s)
+            for i in range(1, self.levels + 1)
+        ]
+        self.pool = _SamplerPool([*self.coarse.pool.samplers, *self.ladder])
 
     def update(self, coord: int) -> None:
-        coord = int(coord)
-        if not 1 <= coord <= self.universe:
-            raise ValueError(
-                f"coordinate {coord} outside universe [1, {self.universe}]"
-            )
-        self.coarse.update(coord)
-        self.ladder[0].update(coord)
-        self.pool.update(coord)
+        self.update_many((coord,))
 
     def update_many(self, coords) -> None:
-        self.coarse.update_many(coords)
-        self.ladder[0].update_many(coords)
         self.pool.update_many(coords)
 
     def level_for(self, bracket: int) -> int:

@@ -310,6 +310,8 @@ def test_validation():
         s.update(0)
     with pytest.raises(ValueError):
         s.update(5)
+    with pytest.raises(ValueError):
+        s.update(10**30)
     with pytest.raises(TypeError):
         BoundedSampler([[1, 2]], 1, 1.0, 1)
 

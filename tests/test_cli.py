@@ -147,6 +147,22 @@ def test_parse_error_exit_code(tmp_path, sets_file):
         rc = main(["build", "--sketch", sketch, "--stream", spath,
                    "--sets", sets_path, "--out", str(tmp_path / "x.json")])
         assert rc == 2
+    # a non-finite p, an eps whose square underflows, an unwritable --out
+    insertion = _write_stream(tmp_path, "ins.txt", ["# model=insertion", "3", "5"])
+    entrywise = _write_stream(tmp_path, "ent.txt", ["# model=entrywise", "3 1.0", "5 2.0"])
+    nowhere = str(tmp_path / "missing" / "x.json")
+    for argv in (["--sketch", "priority", "--p", "nan", "--stream", entrywise],
+                 ["--sketch", "priority", "--p", "inf", "--stream", entrywise],
+                 ["--sketch", "priority", "--eps", "1e-300", "--stream", entrywise],
+                 ["--sketch", "l0", "--eps", "1e-300", "--stream", insertion],
+                 ["--sketch", "lp-additive", "--eps", "1e-300", "--stream", insertion],
+                 ["--sketch", "lp-additive", "--eps", "1e-100", "--k", "2",
+                  "--stream", insertion],
+                 ["--sketch", "l0", "--stream", insertion, "--out", nowhere]):
+        argv = ["build", "--sets", sets_path, "--out", str(tmp_path / "y.json"), *argv]
+        assert main(argv) == 2, argv
+        assert not (tmp_path / "y.json").exists()
+    assert main(["gen", "--kind", "uniform", "--n", "10", "--out", nowhere]) == 2
 
 
 def test_query_rejection_exit_codes(tmp_path, sets_file, capsys):

@@ -178,17 +178,16 @@ def test_coeff_mod_values_matches_scalar_hashes():
     b = np.array([h.b for h in hashes], dtype=np.uint64)
     keys = [1, 2, 2**31 - 1, 2**31, 2**32, 2**45 + 991, MERSENNE61 - 1]
     keys += [int(k) for k in rng.integers(0, MERSENNE61, size=40)]
-    for x in keys:
-        got = coeff_mod_values(a, b, x)
-        want = np.array([h.value(x) for h in hashes], dtype=np.uint64)
-        assert np.array_equal(got, want)
+    got = coeff_mod_values(a, b, np.array(keys, dtype=np.uint64))
+    want = np.array([[h.value(x) for x in keys] for h in hashes], dtype=np.uint64)
+    assert np.array_equal(got, want)
+    assert coeff_mod_values(a, b, []).shape == (64, 0)
 
 
 def test_coeff_mod_values_rejects_out_of_field_key():
     h = PairwiseHash(seed=5)
     a = np.array([h.a], dtype=np.uint64)
     b = np.array([h.b], dtype=np.uint64)
-    with pytest.raises(ValueError):
-        coeff_mod_values(a, b, MERSENNE61)
-    with pytest.raises(ValueError):
-        coeff_mod_values(a, b, -1)
+    for keys in ([MERSENNE61], [3, -1], np.array([3, -1], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            coeff_mod_values(a, b, keys)

@@ -5,9 +5,13 @@ import logging
 import numpy as np
 import pytest
 
+from restore_oracle import bookkeeping
+from subsetsketch import subset_l0
 from subsetsketch.bounded_sampler import BoundedSampler
 from subsetsketch.ensemble import MedianEnsemble
 from subsetsketch.errors import QueryNotInSystem
+from subsetsketch.l1_adapter import L1UniversalSketch
+from subsetsketch.serialize import _l0_slots
 from subsetsketch.setsystem import IntervalSystem, SetSystem, family_random
 from subsetsketch.subset_l0 import (
     DETECTOR_BUDGET,
@@ -225,25 +229,36 @@ def test_sketch_interval_system_queries():
         sk.query(range(1, 75))
 
 
-def test_update_one_vs_many_equivalence():
-    system = IntervalSystem(300, 120)
+def test_update_one_vs_many_equivalence(monkeypatch):
+    # from one sampler per pool hash call to every sampler in one call
     rng = np.random.default_rng(8)
-    stream = rng.integers(1, 301, size=900)
-    a = L0UniversalSketch(system, 0.4, seed=42)
-    b = L0UniversalSketch(system, 0.4, seed=42)
-    for c in stream:
-        a.update(int(c))
-    b.update_many(stream)
-    assert a.coarse.exact.support() == b.coarse.exact.support()
-    assert [s.support() for s in a.ladder] == [s.support() for s in b.ladder]
-    assert [s.support() for s in a.pool.samplers] == [
-        s.support() for s in b.pool.samplers
+    stream = rng.integers(1, 301, size=200)
+    values = rng.integers(1, 4, size=200)
+    explicit = family_random(300, 20, 0.3, seed=5)
+    cases = [
+        (lambda: L0UniversalSketch(IntervalSystem(300, 120), 0.4, seed=42),
+         range(50, 200)),
+        (lambda: L0UniversalSketch(explicit, 0.4, seed=42), explicit.coords_of(3)),
+        (lambda: L1UniversalSketch(explicit, 0.4, seed=42, stream_capacity=5000),
+         explicit.coords_of(3)),
     ]
-    assert [s.support() for s in a.coarse.pool.samplers] == [
-        s.support() for s in b.coarse.pool.samplers
-    ]
-    q = range(50, 200)
-    assert a.query(q) == b.query(q)
+    for make, q in cases:
+        seen = []
+        for cells in (1, 1 << 30):
+            monkeypatch.setattr(subset_l0, "_POOL_CHUNK_CELLS", cells)
+            a, b = make(), make()
+            if isinstance(a, L1UniversalSketch):
+                for c, v in zip(stream.tolist(), values.tolist()):
+                    a.update(c, v)
+                b.update_many(stream, values)
+            else:
+                for c in stream.tolist():
+                    a.update(c)
+                b.update_many(stream)
+            for sk in (a, b):
+                inner = getattr(sk, "inner", sk)
+                seen.append(([bookkeeping(s) for _, s in _l0_slots(inner)], sk.query(q)))
+        assert all(x == seen[0] for x in seen[1:])
 
 
 def test_space_saturates_at_budget():
@@ -299,11 +314,14 @@ def test_validation_errors():
         L0UniversalSketch(FULL_400, 0.0, 1)
     with pytest.raises(ValueError):
         L0UniversalSketch(FULL_400, 1.0, 1)
-    sk = L0UniversalSketch(FULL_400, 0.5, 1)
-    with pytest.raises(ValueError):
-        sk.update(0)
-    with pytest.raises(ValueError):
-        sk.update(401)
+    for eps in (1e-300, 1e-160):  # eps^2 underflows; 400/eps^2 overflows
+        with pytest.raises(ValueError):
+            L0UniversalSketch(FULL_400, eps, 1)
+    for sk in (L0UniversalSketch(FULL_400, 0.5, 1), CoarseL0Estimator(FULL_400, 1),
+               ThresholdDetector(FULL_400, 400, 1)):
+        for c in (0, 401, 10**30):
+            with pytest.raises(ValueError):
+                sk.update(c)
     with pytest.raises(ValueError):
         ThresholdDetector(FULL_400, 0, 1)
     with pytest.raises(ValueError):

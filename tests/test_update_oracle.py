@@ -1,5 +1,6 @@
-"""Bulk `BoundedSampler.update_many` against the per-coordinate insert loop
-it replaces: every bookkeeping field must agree after every batch."""
+"""Bulk `BoundedSampler.update_many`, and the sampler pool of a whole
+sketch, against the per-coordinate insert loop they replace: every
+bookkeeping field must agree after every batch."""
 
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from restore_oracle import bookkeeping, update_per_coordinate
-from subsetsketch import bounded_sampler
+from subsetsketch import bounded_sampler, subset_l0
 from subsetsketch.bounded_sampler import BoundedSampler
 from subsetsketch.cli import main
 from subsetsketch.l1_adapter import L1UniversalSketch
@@ -134,6 +135,11 @@ def _samplers(sk):
     return [s for _, s in _l0_slots(getattr(sk, "inner", sk))]
 
 
+def _per_sampler(pool, coords):
+    for s in pool.samplers:
+        update_per_coordinate(s, coords)
+
+
 @pytest.mark.parametrize("make", [
     lambda: L0UniversalSketch(family_random(80, 12, 0.3, seed=2), 0.3, seed=4),
     lambda: L0UniversalSketch(IntervalSystem(400, 100), 0.3, seed=4),
@@ -141,20 +147,34 @@ def _samplers(sk):
                               stream_capacity=50_000),
 ], ids=["explicit-l0", "interval-l0", "l1"])
 def test_whole_sketches_match(monkeypatch, make):
+    # the oracle side feeds every sampler of the sketch's pool on its own,
+    # with its own xi filter, in place of the pool's columnar decisions
     rng = np.random.default_rng(11)
     bulk, oracle = make(), make()
     n = bulk.system.n
     coords = rng.integers(1, n + 1, size=400)
     values = rng.integers(1, 30, size=400)
-    for part in (slice(0, 150), slice(150, 400)):
-        if isinstance(bulk, L1UniversalSketch):
-            feed = lambda sk: sk.update_many(coords[part], values[part])
+    l1 = isinstance(bulk, L1UniversalSketch)
+
+    def batches(sk, part):
+        if l1:
+            sk.update_many(coords[part], values[part])
         else:
-            feed = lambda sk: sk.update_many(np.repeat(coords[part], 3))
-        feed(bulk)
+            sk.update_many(np.repeat(coords[part], 3))
+
+    def one_item(sk, part):  # one unit per call
+        for c in coords[part].tolist():
+            if l1:
+                sk.update(c, 1)
+            else:
+                sk.update(c)
+
+    for feed, part in ((batches, slice(0, 150)), (batches, slice(150, 400)),
+                       (one_item, slice(0, 80))):
+        feed(bulk, part)
         with monkeypatch.context() as m:
-            m.setattr(BoundedSampler, "update_many", update_per_coordinate)
-            feed(oracle)
+            m.setattr(subset_l0._SamplerPool, "update_many", _per_sampler)
+            feed(oracle, part)
         for a, b in zip(_samplers(bulk), _samplers(oracle)):
             assert bookkeeping(a) == bookkeeping(b)
 
