@@ -136,7 +136,7 @@ def _l0_slots(sk: L0UniversalSketch):
     that is a pure function of the constructor arguments."""
     yield "coarse.exact", sk.coarse.exact
     for j, det in enumerate(sk.coarse.banks):
-        for i, samp in enumerate(det.sampled_instances):
+        for i, samp in enumerate(det.samplers):
             yield f"coarse.bank{j}.copy{i}", samp
     for i, samp in enumerate(sk.ladder):
         yield f"ladder{i}", samp

@@ -16,7 +16,8 @@ Composition, bottom up:
 
 Detectors whose rate is 1 all alias one shared exact sampler.  Each sketch
 feeds all of its samplers, the rate-1 ones included, through one
-`_SamplerPool`: a batch costs one vectorized hash evaluation per block of
+`_SamplerPool` (a coarse estimator or detector fed on its own packs one on
+first update): a batch costs one vectorized hash evaluation per block of
 samplers instead of a Python loop over instances, and `update(c)` of every
 class here is `update_many((c,))`.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +79,7 @@ _POOL_CHUNK_CELLS = 1 << 14
 
 
 class _SamplerPool:
-    """Columnar xi decisions for every sampler of a sketch.
+    """Columnar xi decisions for a list of samplers over one universe.
 
     Packs each sampler's hash coefficients and acceptance threshold once;
     a batch is hashed for a block of samplers at a time (unless all are
@@ -89,15 +91,15 @@ class _SamplerPool:
     which bounds the hits held at once to one block's.
     """
 
-    def __init__(self, samplers) -> None:
+    def __init__(self, samplers, universe: int) -> None:
         self.samplers = list(samplers)
-        a, b, t = zip(*(s.sampling_coefficients for s in self.samplers))
-        self._a = np.array(a, dtype=np.uint64)
-        self._b = np.array(b, dtype=np.uint64)
-        self._t = np.array(t, dtype=np.uint64)[:, None]
+        self.universe = universe
+        coef = np.array([s.sampling_coefficients for s in self.samplers],
+                        dtype=np.uint64).reshape(-1, 3)
+        self._a, self._b, self._t = coef[:, 0], coef[:, 1], coef[:, 2:]
 
     def update_many(self, coords) -> None:
-        arr = checked_coords(coords, self.samplers[0].universe)
+        arr = checked_coords(coords, self.universe)
         step = max(1, _POOL_CHUNK_CELLS // max(arr.size, 1))
         for lo in range(0, len(self.samplers), step):
             part = slice(lo, lo + step)
@@ -116,7 +118,8 @@ class ThresholdDetector:
     The natural vote (median rescaled count >= threshold) reduces to an
     integer comparison: with rate exactly min(1, U/r) the median count is
     compared against min(r, U), i.e. a sampled instance votes yes exactly
-    when it saturated its budget.
+    when it saturated its budget.  At r <= U the rate is 1, every copy
+    would be the same exact sampler, and one stands for all.
 
     Callers managing several rate-1 detectors can pass one `shared_exact`
     sampler for all of them to alias; the caller feeds it, and `update`
@@ -144,47 +147,38 @@ class ThresholdDetector:
         self.reps = detector_repetitions(self.universe) if reps is None else int(reps)
         if self.reps < 1 or self.reps % 2 == 0:
             raise ValueError("reps must be odd and positive")
-        if self.rate >= 1.0:
-            base = shared_exact if shared_exact is not None else BoundedSampler(
-                system,
-                DETECTOR_BUDGET,
-                1.0,
-                derive_seed(seed, "exact"),
-                universe=universe,
-                project=project,
-                vote_only=True,
-            )
-            # every copy would be this one exact sampler: one stands for all
-            self.instances = [base]
-            self.sampled_instances: list[BoundedSampler] = []
+        if self.rate >= 1.0 and shared_exact is not None:
+            self.instances = [shared_exact]
         else:
             self.instances = [
-                BoundedSampler(
-                    system,
-                    DETECTOR_BUDGET,
-                    self.rate,
-                    derive_seed(seed, "copy", i),
-                    universe=universe,
-                    project=project,
-                    vote_only=True,
-                )
-                for i in range(self.reps)
+                BoundedSampler(system, DETECTOR_BUDGET, self.rate,
+                               derive_seed(seed, "copy", i), universe=universe,
+                               project=project, vote_only=True)
+                for i in range(self.reps if self.rate < 1.0 else 1)
             ]
-            self.sampled_instances = list(self.instances)
-        self._fed = [s for s in self.instances if s is not shared_exact]
+        # the samplers this detector feeds: not a caller's shared one
+        self.samplers = [s for s in self.instances if s is not shared_exact]
+
+    @cached_property
+    def pool(self) -> _SamplerPool:
+        # packed on first update; a coarse estimator packs its own
+        return _SamplerPool(self.samplers, self.universe)
 
     def update(self, coord: int) -> None:
         self.update_many((coord,))
 
     def update_many(self, coords) -> None:
-        for s in self._fed:
-            s.update_many(coords)
+        self.pool.update_many(coords)
 
     def query(self, q) -> bool:
         return self.query_resolved(resolve_member(self.system, q))
 
     def query_resolved(self, qq) -> bool:
-        counts = sorted([s.intersection_count(qq) for s in self.instances])
+        return self.vote([s.intersection_count(qq) for s in self.instances])
+
+    def vote(self, counts: list[int]) -> bool:
+        """The vote of copies whose intersection counts are `counts`."""
+        counts = sorted(counts)
         return counts[len(counts) // 2] >= min(self.threshold, DETECTOR_BUDGET)
 
 
@@ -237,8 +231,12 @@ class CoarseL0Estimator:
             )
             for j, threshold in enumerate(thresholds)
         ]
-        self.pool = _SamplerPool(
-            [self.exact, *(s for det in self.banks for s in det.sampled_instances)])
+        self.samplers = [self.exact, *(s for det in self.banks for s in det.samplers)]
+
+    @cached_property
+    def pool(self) -> _SamplerPool:
+        # packed on first update; a support sketch packs its own
+        return _SamplerPool(self.samplers, self.universe)
 
     def update(self, coord: int) -> None:
         self.update_many((coord,))
@@ -250,10 +248,10 @@ class CoarseL0Estimator:
         return self.query_resolved(resolve_member(self.system, q))
 
     def query_resolved(self, qq) -> int:
-        # the rate-1 banks all alias `exact`, so one count decides their votes
-        exact = self.exact.intersection_count(qq)
+        # a rate-1 bank feeds no sampler: its one copy is `exact`, read once
+        exact = [self.exact.intersection_count(qq)]
         for j, det in enumerate(self.banks):
-            if not (det.query_resolved(qq) if det.sampled_instances else exact >= det.threshold):
+            if not det.vote([s.intersection_count(qq) for s in det.samplers] or exact):
                 return 2 ** j if j else 0
         fallback = 2 ** (self.levels + 1)
         log.warning(
@@ -313,7 +311,7 @@ class L0UniversalSketch:
             )
             for i in range(1, self.levels + 1)
         ]
-        self.pool = _SamplerPool([*self.coarse.pool.samplers, *self.ladder])
+        self.pool = _SamplerPool([*self.coarse.samplers, *self.ladder], self.universe)
 
     def update(self, coord: int) -> None:
         self.update_many((coord,))

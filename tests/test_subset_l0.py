@@ -130,7 +130,7 @@ def test_sampled_detector_votes_above_and_below():
 def test_shared_exact_update_is_owner_driven():
     shared = BoundedSampler(FULL_400, DETECTOR_BUDGET, 1.0, seed=1)
     det = ThresholdDetector(FULL_400, 5, seed=2, shared_exact=shared)
-    assert det.sampled_instances == []
+    assert det.samplers == []
     det.update(7)
     assert shared.size == 0  # the owner feeds the shared sampler
     shared.update(7)
@@ -230,10 +230,12 @@ def test_sketch_interval_system_queries():
 
 
 def test_update_one_vs_many_equivalence(monkeypatch):
-    # from one sampler per pool hash call to every sampler in one call
+    # from one sampler per pool hash call (on a shorter stream: one-item
+    # updates then cost a hash call per sampler), through the default
+    # blocks, to every sampler in one call
     rng = np.random.default_rng(8)
-    stream = rng.integers(1, 301, size=200)
-    values = rng.integers(1, 4, size=200)
+    stream = rng.integers(1, 301, size=900)
+    values = rng.integers(1, 4, size=900)
     explicit = family_random(300, 20, 0.3, seed=5)
     cases = [
         (lambda: L0UniversalSketch(IntervalSystem(300, 120), 0.4, seed=42),
@@ -242,23 +244,31 @@ def test_update_one_vs_many_equivalence(monkeypatch):
         (lambda: L1UniversalSketch(explicit, 0.4, seed=42, stream_capacity=5000),
          explicit.coords_of(3)),
     ]
+    runs = [(1, 200), (subset_l0._POOL_CHUNK_CELLS, 900), (1 << 30, 900)]
     for make, q in cases:
-        seen = []
-        for cells in (1, 1 << 30):
+        seen = {}
+        for cells, m in runs:
             monkeypatch.setattr(subset_l0, "_POOL_CHUNK_CELLS", cells)
             a, b = make(), make()
             if isinstance(a, L1UniversalSketch):
-                for c, v in zip(stream.tolist(), values.tolist()):
+                for c, v in zip(stream[:m].tolist(), values[:m].tolist()):
                     a.update(c, v)
-                b.update_many(stream, values)
+                b.update_many(stream[:m], values[:m])
             else:
-                for c in stream.tolist():
+                for c in stream[:m].tolist():
                     a.update(c)
-                b.update_many(stream)
+                b.update_many(stream[:m])
             for sk in (a, b):
                 inner = getattr(sk, "inner", sk)
-                seen.append(([bookkeeping(s) for _, s in _l0_slots(inner)], sk.query(q)))
-        assert all(x == seen[0] for x in seen[1:])
+                seen.setdefault(m, []).append(
+                    ([bookkeeping(s) for _, s in _l0_slots(inner)], sk.query(q)))
+        for states in seen.values():
+            assert all(x == states[0] for x in states[1:])
+        if isinstance(a.system, IntervalSystem):
+            # the full stream saturates a window of the exact sampler, so it
+            # evicts, skips saturated arrivals and leaves bulk commits for
+            # per-coordinate inserts
+            assert a.coarse.exact._impl.max_count() >= DETECTOR_BUDGET
 
 
 def test_space_saturates_at_budget():
