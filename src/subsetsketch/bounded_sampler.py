@@ -24,10 +24,13 @@ Two backends:
   `subset_l0.resolve_member` tagged with its set id (`MemberCoords`) is
   answered from that id without a lookup.
 * interval systems: neededness reduces to windows of the minimum member
-  length, since any member interval through i contains such a window
+  length L, since any member interval through i contains such a window
   through i and the window is itself a member.  Window counts live in one
   array updated by slice; eviction scans trigger only when a window
-  crosses the budget.
+  crosses the budget.  A kept coordinate is evictable when none of the L
+  windows over its origin holds at most the budget; one prefix count of
+  the windows at or below it answers that for a whole run of origins, both
+  after a live insertion and when a restored support is checked.
 
 A `project` hook lets a caller run the sampler over a larger virtual
 universe whose coordinates map many-to-one onto system coordinates; counts
@@ -51,12 +54,10 @@ backend (`add_many`), and only the rest goes through `insert_presampled`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .hashing import PairwiseHash, bernoulli_threshold
 from .setsystem import IntervalSystem, SetSystem, as_interval
 
-_INF = np.iinfo(np.int32).max // 2  # larger than any window count
 # the smallest room (and xi-filtered batch) that `insert_sampled` commits in
 # bulk; below it the array passes cost more than per-coordinate inserts
 _BULK_MIN_ROOM = 16
@@ -463,7 +464,7 @@ class _IntervalState(_OriginState):
         self.n = system.n
         self.length = system.min_len
         self.num_windows = self.n - self.length + 1
-        # int32 keeps the filter memory-bound path fast; counts are <= n
+        # int32 halves these per-sampler arrays of n entries; counts are <= n
         self.w = np.zeros(max(self.num_windows, 0), dtype=np.int32)
         self.per_orig = np.zeros(self.n + 1, dtype=np.int32)
         self.orig_members: dict[int, set[int]] = {}
@@ -471,9 +472,6 @@ class _IntervalState(_OriginState):
         self._projected = False
         self._track = track_saturation
         self._sat_windows = 0
-        size = max(self.num_windows, 0) + self.length + 1
-        self._segbuf = np.empty(size, dtype=np.int32)
-        self._minbuf = np.empty(size, dtype=np.int32)
 
     def has_sets(self, orig: int) -> bool:
         return self.num_windows >= 1 and 1 <= orig <= self.n
@@ -534,40 +532,32 @@ class _IntervalState(_OriginState):
         `coords` (with origins `origs`, each in some window), or ValueError
         if that would evict."""
         self.add_many(coords, origs)
-        # minwin(c) as in _evict_region, over the whole axis at once
-        seg = np.full(self.n, _INF, dtype=np.int32)
-        seg[: self.num_windows] = self.w
-        minwin = minimum_filter1d(seg, size=self.length, mode="constant",
-                                  cval=_INF, origin=(self.length - 1) // 2)
-        if (minwin[self.per_orig[1:] > 0] > self.budget).any():
+        if self._evictable(1, self.n).size:
             raise ValueError("snapshot is not a settled support")
+
+    def _evictable(self, clo: int, chi: int) -> np.ndarray:
+        """The occupied origins c in [clo, chi] none of whose windows
+        [c-L, c-1] holds at most the budget, ascending.  Window slots outside
+        [0, num_windows) do not exist, so they never hold at most it."""
+        length = self.length
+        base = clo - length  # the window slot counted by under[1]
+        lo, hi = max(0, base), min(self.num_windows, chi)
+        # under[j]: windows at or below the budget among slots [base, base + j)
+        under = np.zeros(chi - base + 1, dtype=np.int32)
+        under[lo - base + 1 : hi - base + 1] = self.w[lo:hi] <= self.budget
+        np.cumsum(under, dtype=np.int32, out=under)
+        none_under = under[length:] == under[:-length]
+        return np.nonzero(none_under & (self.per_orig[clo : chi + 1] > 0))[0] + clo
 
     def _evict_region(self, wlo: int, whi: int) -> None:
         # Only coordinates over windows [wlo, whi] can have turned evictable,
-        # and evictions never create new evictable coordinates, so refiltering
-        # the same region after each eviction implements repeated removal of
-        # the smallest evictable coordinate.  minwin(c) = min of w over the
-        # trailing length-L window ending at index c-1, out-of-range window
-        # slots reading as infinity.
+        # and evictions never create new evictable coordinates, so rescanning
+        # the same origins after each eviction implements repeated removal of
+        # the smallest evictable coordinate.
         u = self.budget
-        length = self.length
-        clo, chi = wlo + 1, min(self.n, whi + length)
-        seg_lo = max(0, clo - length)
-        seg_len = chi - seg_lo
-        seg = self._segbuf[:seg_len]
-        minwin = self._minbuf[:seg_len]
-        valid = min(chi, self.num_windows) - seg_lo
+        clo, chi = wlo + 1, min(self.n, whi + self.length)
         while True:
-            seg[:valid] = self.w[seg_lo : seg_lo + valid]
-            seg[valid:] = _INF
-            minimum_filter1d(
-                seg, size=length, mode="constant", cval=_INF,
-                origin=(length - 1) // 2,  # trailing window [t-L+1, t]
-                output=minwin,
-            )
-            occupied = self.per_orig[clo : chi + 1] > 0
-            over = minwin[clo - 1 - seg_lo : chi - seg_lo] > u
-            cand_origs = np.nonzero(occupied & over)[0] + clo
+            cand_origs = self._evictable(clo, chi)
             if cand_origs.size == 0:
                 return
             victim, i = self._victim(cand_origs)

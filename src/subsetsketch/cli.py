@@ -187,8 +187,19 @@ def cmd_build(args) -> int:
 
 
 def _query_target(sk, token: str):
-    """Translate a query token into whatever the sketch's query() accepts."""
+    """Translate a query token into whatever the sketch's query() accepts.
+    Every coordinate is checked against the sketch's universe before a range
+    or list is built from it."""
     tok = token.strip()
+    system = getattr(sk, "system", None)
+    n = sk.n if system is None else system.n
+
+    def in_universe(coords):
+        for c in coords:
+            if not 1 <= c <= n:
+                raise CliError(EXIT_QUERY, f"coordinate {c} outside universe [1, {n}]")
+        return coords
+
     if ".." in tok:
         lo_s, _, hi_s = tok.partition("..")
         try:
@@ -197,14 +208,14 @@ def _query_target(sk, token: str):
             raise CliError(EXIT_PARSE, f"bad interval {token!r}")
         if lo < 1 or hi < lo:
             raise CliError(EXIT_PARSE, f"bad interval {token!r}")
+        in_universe((hi,))
         return range(lo, hi + 1)
     if "," in tok or " " in tok:
         try:
-            return [int(t) for t in tok.replace(",", " ").split()]
+            return in_universe([int(t) for t in tok.replace(",", " ").split()])
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad coordinate list {token!r}")
     if tok.isdigit():
-        system = getattr(sk, "system", None)
         if system is None or not isinstance(system, SetSystem):
             raise CliError(
                 EXIT_QUERY,
@@ -220,7 +231,7 @@ def _query_target(sk, token: str):
 def cmd_query(args) -> int:
     try:
         sk = load_sketch(args.state)
-    except (OSError, ValueError, KeyError, UnknownKind) as e:
+    except (OSError, ValueError, KeyError, UnknownKind, UniverseTooLarge) as e:
         raise CliError(EXIT_PARSE, f"state file: {e}")
     out = []
     for token in args.queries:

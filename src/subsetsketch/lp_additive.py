@@ -30,6 +30,9 @@ from .rng import derive_seed
 # signed estimates (depth x count-sketch keys) that one estimate_many call of
 # a query may hold: bounds the memory of a query on a large subset
 _QUERY_CHUNK_CELLS = 1 << 21
+# counters (width x depth float64 cells, 256 MiB) a sketch may hold: a small
+# eps or a large k or n would otherwise size the table without bound
+MAX_COUNTERS = 1 << 25
 
 
 def sample_rows(epsilon: float) -> int:
@@ -57,9 +60,10 @@ def error_param(p: float, n: int, epsilon: float) -> float:
 def sketch_shape(n: int, p: float, epsilon: float,
                  k: int | None = None) -> tuple[int, int, int]:
     """(k, width, depth) of `LpSetSketch(n, p, epsilon, seed, k=k)`, k's
-    default filled in.  Raises where the constructor would, and allocates
-    nothing, so a loader can check the counter table a file asks for
-    against the counters it holds before building it."""
+    default filled in.  Raises where the constructor would, on a table of
+    more than `MAX_COUNTERS` cells too, and allocates nothing, so a loader
+    can check the counter table a file asks for against the counters it
+    holds before building it."""
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     if p == 0.0:
@@ -79,7 +83,13 @@ def sketch_shape(n: int, p: float, epsilon: float,
         raise UniverseTooLarge(
             f"virtual universe k*n = {k * n} exceeds the count-sketch hash field"
         )
-    return (k, *sketch_dimensions(k, error_param(p, n, epsilon), n))
+    width, depth = sketch_dimensions(k, error_param(p, n, epsilon), n)
+    if width * depth > MAX_COUNTERS:
+        raise UniverseTooLarge(
+            f"a {depth} x {width} counter table exceeds the {MAX_COUNTERS} "
+            f"counters a sketch may hold"
+        )
+    return k, width, depth
 
 
 class LpSetSketch:

@@ -55,13 +55,3 @@ def counter_hash(seed: int, index: int) -> int:
     """The index-th (1-based) output of stream64(seed, ...) in O(1)."""
     return mix64((seed + index * _GAMMA) & MASK64)
 
-
-def counter_hash_array(seed: int, indices) -> "np.ndarray":
-    """Vectorized counter_hash over an integer array."""
-    import numpy as np
-
-    idx = np.asarray(indices, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))

@@ -83,12 +83,6 @@ class ExactVector:
     def support(self) -> list[int]:
         return sorted(self.values)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for c, x in self.values.items():
-            out[c - 1] = x
-        return out
-
     def __repr__(self) -> str:
         return f"ExactVector(n={self.n}, model={self.model}, nnz={len(self.values)})"
 

@@ -1,6 +1,7 @@
 """Reference forms of the hashing and set-system primitives that only tests
 use: scalar and boolean views of the pairwise family, the alpha-inverse law,
-the set of coordinates a vector isolates, and the incidence matrix."""
+the vectorized counter hash, the set of coordinates a vector isolates, and
+the incidence matrix."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from subsetsketch.errors import UniverseTooLarge
 from subsetsketch.hashing import MERSENNE61, AlphaInverseSource, PairwiseHash, bernoulli_threshold
+from subsetsketch.rng import _GAMMA, MASK64
 from subsetsketch.setsystem import _as_explicit, _coords_from_mask, _mask_from_coords
 
 
@@ -36,6 +38,15 @@ def alpha_inverse_cdf(x: float, alpha: float) -> float:
     if x < 1:
         return 0.0
     return 1.0 - math.floor(x) ** (-alpha)
+
+
+def counter_hash_array(seed: int, indices) -> np.ndarray:
+    """Vectorized `rng.counter_hash` over an integer array."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    z = np.uint64(seed & MASK64) + idx * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def hh_set(system, v) -> set[int]:

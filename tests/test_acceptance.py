@@ -10,13 +10,14 @@ import time
 
 import numpy as np
 import pytest
+from reference import counter_hash_array
 
 from subsetsketch.bounded_sampler import BoundedSampler
 from subsetsketch.hashing import PairwiseHash, bernoulli_threshold
 from subsetsketch.l1_adapter import L1UniversalSketch
 from subsetsketch.lp_additive import LpSetSketch
 from subsetsketch.priority_sampling import PrioritySketch
-from subsetsketch.rng import counter_hash_array, derive_seed
+from subsetsketch.rng import derive_seed
 from subsetsketch.serialize import sketch_from_state, sketch_state
 from subsetsketch.setsystem import (
     IntervalSystem,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subsetsketch.bounded_sampler import BoundedSampler, _ExplicitState
+from subsetsketch.bounded_sampler import BoundedSampler, _ExplicitState, _IntervalState
 from subsetsketch.hashing import PairwiseHash, bernoulli_threshold
 from subsetsketch.setsystem import (
     IntervalSystem,
@@ -286,15 +286,25 @@ def test_sampling_rate_thins_stream():
 
 
 def test_trailing_window_min_alignment():
-    from scipy.ndimage import minimum_filter1d
-
+    # _IntervalState._evictable against its definition: an occupied origin c
+    # is evictable when no existing trailing window slot t in [c-L, c-1]
+    # holds at most the budget
     rng = np.random.default_rng(2)
-    x = rng.integers(0, 50, size=40).astype(np.int64)
+    n = 40
     for L in [1, 2, 3, 4, 5, 8, 13]:
-        naive = np.array([x[max(0, i - L + 1): i + 1].min() for i in range(len(x))])
-        f = minimum_filter1d(x, size=L, mode="constant", cval=10**9,
-                             origin=(L - 1) // 2)
-        assert np.array_equal(f, naive), L
+        st = _IntervalState(IntervalSystem(n, L), 1)
+        nw = st.num_windows
+        for _ in range(30):
+            st.budget = int(rng.integers(1, 6))
+            st.w[:] = rng.integers(0, 8, size=nw)
+            st.per_orig[1:] = rng.integers(0, 3, size=n)
+            a, b = sorted(int(c) for c in rng.integers(1, n + 1, size=2))
+            for clo, chi in [(1, n), (1, b), (a, n), (a, b), (nw, n), (nw, nw), (1, 1)]:
+                naive = [c for c in range(clo, chi + 1)
+                         if st.per_orig[c] > 0
+                         and all(st.w[t] > st.budget
+                                 for t in range(max(0, c - L), min(nw, c)))]
+                assert st._evictable(clo, chi).tolist() == naive, (L, clo, chi)
 
 
 def test_validation():

@@ -1,13 +1,20 @@
 """Command-line behavior: exit codes, formats, two-phase equivalence."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subsetsketch
 from subsetsketch.cli import main
 from subsetsketch.l1_adapter import L1UniversalSketch
+from subsetsketch.lp_additive import LpSetSketch
 from subsetsketch.rng import derive_seed
+from subsetsketch.serialize import save_sketch
 from subsetsketch.setsystem import IntervalSystem, family_random, write_sets_file
 from subsetsketch.streams import gen_stream
 from subsetsketch.subset_l0 import L0UniversalSketch
@@ -158,6 +165,13 @@ def test_parse_error_exit_code(tmp_path, sets_file):
                  ["--sketch", "lp-additive", "--eps", "1e-300", "--stream", insertion],
                  ["--sketch", "lp-additive", "--eps", "1e-100", "--k", "2",
                   "--stream", insertion],
+                 # counter tables past lp_additive.MAX_COUNTERS
+                 ["--sketch", "lp-additive", "--n", "40", "--eps", "0.01",
+                  "--stream", insertion],
+                 ["--sketch", "lp-additive", "--n", "20", "--k", "100000000",
+                  "--stream", insertion],
+                 ["--sketch", "lp-additive", "--k", "2", "--eps", "0.001",
+                  "--stream", insertion],
                  ["--sketch", "l0", "--stream", insertion, "--out", nowhere]):
         argv = ["build", "--sets", sets_path, "--out", str(tmp_path / "y.json"), *argv]
         assert main(argv) == 2, argv
@@ -180,6 +194,47 @@ def test_query_rejection_exit_codes(tmp_path, sets_file, capsys):
     assert main(["query", str(out), "1,2"]) == 4
     # malformed token
     assert main(["query", str(out), "7..3"]) == 2
+    # a coordinate outside the universe, found before a range or list is
+    # built from the token; run in a child process whose address space is
+    # limited, so that a query allocating by the token fails there
+    lp, iv = tmp_path / "lp.json", tmp_path / "iv.json"
+    save_sketch(LpSetSketch(40, 1.0, 0.5, seed=1), str(lp))
+    save_sketch(L0UniversalSketch(IntervalSystem(40, 10), 0.5, seed=1), str(iv))
+    for state, token in ((out, "1..1000000000"), (out, "1,99999999999999999999"),
+                         (lp, "1..99999999999999999999"), (lp, "1,99999999999999999999"),
+                         (lp, "1..1000000000000"), (iv, "1..99999999999999999999"),
+                         (iv, "1..41")):
+        run = _query_in_child(str(state), token)
+        assert run.returncode == 4, (state.name, token, run.stderr)
+        assert "outside universe [1, 40]" in run.stderr
+
+
+_CHILD_AS_LIMIT = 3 << 30
+_CHILD_QUERY = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from subsetsketch.cli import main; sys.exit(main(sys.argv[2:]))")
+
+
+def _query_in_child(state: str, token: str) -> subprocess.CompletedProcess:
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_LIMIT, _CHILD_AS_LIMIT))
+
+    src = os.path.dirname(os.path.dirname(subsetsketch.__file__))
+    return subprocess.run([sys.executable, "-c", _CHILD_QUERY, src, "query", state, token],
+                          capture_output=True, text=True, preexec_fn=limit_memory,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_cli_imports_no_third_party_package_but_numpy():
+    """numpy is the package's only runtime dependency: importing the
+    command line loads no other package outside the standard library."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import subsetsketch.cli; "
+            "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))))")
+    src = os.path.dirname(os.path.dirname(subsetsketch.__file__))
+    run = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["numpy", "subsetsketch"]
 
 
 def test_entrywise_duplicate_is_model_error(tmp_path, sets_file):

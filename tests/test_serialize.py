@@ -13,7 +13,8 @@ import pytest
 import subsetsketch
 from subsetsketch.errors import DuplicateEntry, UnknownKind
 from subsetsketch.l1_adapter import L1UniversalSketch
-from subsetsketch.lp_additive import LpSetSketch, sketch_shape
+from subsetsketch.count_sketch import sketch_dimensions
+from subsetsketch.lp_additive import LpSetSketch, error_param
 from subsetsketch.priority_sampling import PrioritySketch
 from subsetsketch.serialize import (
     FORMAT_VERSION,
@@ -449,8 +450,10 @@ def _seen_without_heap_coordinate(st):
 
 
 def _lp_k_with_dimensions(k):
+    """k with the counter dimensions it implies, past the counter cap or not."""
     def edit(st):
-        _, width, depth = sketch_shape(st["n"], st["p_norm"], st["epsilon"], k)
+        n, p, eps = st["n"], st["p_norm"], st["epsilon"]
+        width, depth = sketch_dimensions(k, error_param(p, n, eps), n)
         st["state"].update(k=k, width=width, depth=depth)
     return edit
 
@@ -484,6 +487,8 @@ INCONSISTENT = {
     # k sizes the counter table: 2^20 asks for about 11 GB of counters
     "lp k": ("lp_additive", lambda st: st["state"].update(k=1 << 20)),
     "lp k, width and depth": ("lp_additive", _lp_k_with_dimensions(1 << 20)),
+    "lp k, width and depth under the counter cap": ("lp_additive",
+                                                    _lp_k_with_dimensions(1 << 10)),
     "l0 fingerprint": ("l0", _zero_fingerprint),
     "l0-intervals fingerprint": ("l0-intervals", _zero_fingerprint),
     "l1 fingerprint": ("l1", _zero_fingerprint),
