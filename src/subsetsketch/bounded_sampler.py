@@ -36,9 +36,12 @@ A `project` hook lets a caller run the sampler over a larger virtual
 universe whose coordinates map many-to-one onto system coordinates; counts
 and neededness are computed on the projected side, H stores virtual
 coordinates.  The hook is arithmetic: it maps an int and, elementwise, an
-int64 array.  Both backends evict alike: among the origins an insertion
-can have made evictable, repeatedly the smallest kept coordinate over an
-evictable one.
+int64 array.  It must map ascending blocks of virtual coordinates onto
+ascending origins (as `l1_adapter`'s block map does), so that the smallest
+kept coordinate over a set of origins lies over the smallest of them.  Both
+backends evict alike: among the origins an insertion can have made
+evictable, repeatedly the smallest kept coordinate of the smallest
+evictable origin.
 
 Counts only grow between evictions, and an arrival adds at most 1 to any
 count.  So while room = budget - max(count) is at least `_BULK_MIN_ROOM`,
@@ -52,6 +55,8 @@ backend (`add_many`), and only the rest goes through `insert_presampled`.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -115,10 +120,11 @@ class BoundedSampler:
         self._h: set[int] = set()
 
     def _fresh_state(self):
+        projected = self.project is not None
         if isinstance(self.system, IntervalSystem):
-            return _IntervalState(self.system, self.budget,
+            return _IntervalState(self.system, self.budget, projected=projected,
                                   track_saturation=self.vote_only)
-        return _ExplicitState(self.system, self.budget)
+        return _ExplicitState(self.system, self.budget, projected=projected)
 
     # -- sampling ------------------------------------------------------------
 
@@ -283,35 +289,36 @@ class BoundedSampler:
 
 class _OriginState:
     """What both backends share: per origin, `per_orig` counts the kept
-    coordinates and `orig_members` holds them, so that a projected sampler
-    can pick the smallest kept coordinate among the candidate origins of an
-    eviction; evictions queue in `_evicted` until drained."""
+    coordinates; evictions queue in `_evicted` until drained.
 
-    def _keep(self, coord: int, orig: int) -> None:
-        self.orig_members.setdefault(orig, set()).add(coord)
-        if coord != orig:
-            self._projected = True
+    An eviction removes the smallest kept coordinate of the smallest
+    candidate origin.  Unprojected, that coordinate is the origin itself;
+    projected, `heaps` holds each origin's kept virtual coordinates as a
+    `heapq` min-heap and the coordinate is its root.  `heaps` is None when
+    the sampler is not projected."""
+
+    def __init__(self, projected: bool) -> None:
+        self.heaps: dict[int, list[int]] | None = {} if projected else None
+        self._evicted: list[int] = []
 
     def _hold(self, coords: np.ndarray, origs: np.ndarray) -> None:
-        self._projected = self._projected or not np.array_equal(coords, origs)
-        members = self.orig_members
-        for c, o in zip(coords.tolist(), origs.tolist()):
-            members.setdefault(o, set()).add(c)
+        if self.heaps is not None:
+            for c, o in zip(coords.tolist(), origs.tolist()):
+                heapq.heappush(self.heaps.setdefault(o, []), c)
 
     def _victim(self, origs: np.ndarray) -> tuple[int, int]:
         """The smallest kept coordinate over the candidate origins `origs`,
         and the index in `origs` of its origin."""
-        if not self._projected:
-            i = int(origs.argmin())
-            return int(origs[i]), i
-        members = self.orig_members
-        return min((min(members[o]), i) for i, o in enumerate(origs.tolist()))
+        i = int(origs.argmin())
+        o = int(origs[i])
+        return (o if self.heaps is None else self.heaps[o][0]), i
 
     def _forget(self, victim: int, vorig: int) -> None:
-        mem = self.orig_members[vorig]
-        mem.discard(victim)
-        if not mem:
-            del self.orig_members[vorig]
+        if self.heaps is not None:
+            heap = self.heaps[vorig]
+            heapq.heappop(heap)
+            if not heap:
+                del self.heaps[vorig]
         self._evicted.append(victim)
 
     def drain_evictions(self):
@@ -327,7 +334,9 @@ class _ExplicitState(_OriginState):
     `slack` counts, for every covered coordinate, its sets at or below the
     budget: kept coordinates over an origin with zero slack are evictable."""
 
-    def __init__(self, system: SetSystem, budget: int) -> None:
+    def __init__(self, system: SetSystem, budget: int, *,
+                 projected: bool = False) -> None:
+        super().__init__(projected)
         self.system = system
         self.budget = budget
         self.counts = [0] * system.num_sets
@@ -335,9 +344,6 @@ class _ExplicitState(_OriginState):
         self._pos, self._by_set, degree = system.forward_index
         self.slack = degree.copy()
         self.per_orig = np.zeros(self._covered.size, dtype=np.int64)
-        self.orig_members: dict[int, set[int]] = {}
-        self._projected = False
-        self._evicted: list[int] = []
         self._sat = 0  # member sets whose count has reached the budget
 
     def has_sets(self, orig: int) -> bool:
@@ -355,7 +361,8 @@ class _ExplicitState(_OriginState):
         u = self.budget
         k = self._pos[orig]
         self.per_orig[k] += 1
-        self._keep(coord, orig)
+        if self.heaps is not None:
+            heapq.heappush(self.heaps.setdefault(orig, []), coord)
         counts = self.counts
         crossed = []
         for j in self.system.ids_containing(orig):
@@ -458,7 +465,8 @@ class _IntervalState(_OriginState):
     lies in the length-L window starting at t+1, L the minimum member length."""
 
     def __init__(self, system: IntervalSystem, budget: int, *,
-                 track_saturation: bool = False) -> None:
+                 projected: bool = False, track_saturation: bool = False) -> None:
+        super().__init__(projected)
         self.system = system
         self.budget = budget
         self.n = system.n
@@ -467,9 +475,6 @@ class _IntervalState(_OriginState):
         # int32 halves these per-sampler arrays of n entries; counts are <= n
         self.w = np.zeros(max(self.num_windows, 0), dtype=np.int32)
         self.per_orig = np.zeros(self.n + 1, dtype=np.int32)
-        self.orig_members: dict[int, set[int]] = {}
-        self._evicted: list[int] = []
-        self._projected = False
         self._track = track_saturation
         self._sat_windows = 0
 
@@ -502,7 +507,8 @@ class _IntervalState(_OriginState):
         if self._track:
             self._sat_windows += int(np.count_nonzero(self.w[lo : hi + 1] == u))
         self.per_orig[orig] += 1
-        self._keep(coord, orig)
+        if self.heaps is not None:
+            heapq.heappush(self.heaps.setdefault(orig, []), coord)
         sl = self.w[lo : hi + 1]
         if int(sl.min()) > u or bool((sl == u + 1).any()):
             self._evict_region(lo, hi)

@@ -133,6 +133,12 @@ def cmd_build(args) -> int:
     system = _load_system(args)
     if args.sketch in ("l0", "l1", "priority") and system is None:
         raise CliError(EXIT_PARSE, f"--sets (or --intervals) is required for {args.sketch}")
+    universe = system.n if system is not None else None
+    if args.sketch == "lp-additive":
+        universe = args.n or universe
+    if universe is not None and stream.n > universe:
+        raise CliError(EXIT_PARSE, f"stream n = {stream.n} exceeds the universe "
+                                   f"[1, {universe}] of the sketch")
 
     seed = derive_seed(args.seed, "build", args.sketch)
     try:
@@ -155,8 +161,7 @@ def cmd_build(args) -> int:
             for c, v in stream.updates:
                 sk.update(c, v)
         else:  # lp-additive
-            n = args.n or (system.n if system is not None else stream.n)
-            sk = LpSetSketch(n, args.p, args.eps, seed, k=args.k)
+            sk = LpSetSketch(universe or stream.n, args.p, args.eps, seed, k=args.k)
             if model == "entrywise":
                 seen: set[int] = set()
                 for c, v in stream.updates:

@@ -44,7 +44,7 @@ class L1UniversalSketch:
     """
 
     def __init__(self, system, epsilon: float, seed: int, *,
-                 stream_capacity: int | None = None, detector_reps=None):
+                 stream_capacity: int | None = None):
         n = system.n
         capacity = int(stream_capacity) if stream_capacity is not None else n ** 3
         if capacity < 1:
@@ -67,7 +67,6 @@ class L1UniversalSketch:
             derive_seed(seed, "expanded"),
             universe=universe,
             project=self._origin,
-            detector_reps=detector_reps,
         )
 
     def _origin(self, virtual: int) -> int:

@@ -156,14 +156,6 @@ class LpSetSketch:
         x = self.scalers_for(c)
         self.cs.update_many(c, x * d[None, :], self._offsets)
 
-    def update_dense(self, values) -> None:
-        """Ingest a whole length-n vector (equivalent to n single updates)."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector")
-        (nz,) = np.nonzero(v)
-        self.update_many((nz + 1).astype(np.uint64), v[nz])
-
     # -- queries -----------------------------------------------------------------
 
     def _subset_coords(self, s) -> np.ndarray:
@@ -190,19 +182,6 @@ class LpSetSketch:
             for i in range(0, coords.size, step)
         ])
         z = selection_statistic(est, self.k)
-        return 2.0 ** (-1.0 / self.p) * z
-
-    def query_exact(self, s, values) -> float:
-        """The same order statistic computed from exact scaled values
-        (count-sketch bypassed); reference path for calibration."""
-        coords = self._subset_coords(s)
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector")
-        if coords.size == 0:
-            return 0.0
-        scaled = self.scalers_for(coords) * v[coords.astype(np.int64) - 1][None, :]
-        z = selection_statistic(np.abs(scaled).ravel(), self.k)
         return 2.0 ** (-1.0 / self.p) * z
 
 

@@ -13,9 +13,11 @@ have.
 
 Loading checks the shape of every field it reads and raises ValueError for
 a malformed file; it also refuses a support that no saved sketch could hold
-(see `BoundedSampler.restore_support`) and a `detector_reps` that does not
-match the detector supports present, before any sampler is built.  Parts
-that must agree are cross-checked: the header `n` and
+(see `BoundedSampler.restore_support`).  A support state still stores
+`detector_reps`, but the universe fixes it (`detector_repetitions`) and it
+sizes nothing: a different value is refused before any sampler is built,
+and supports naming other samplers than the sketch's are refused when
+restored.  Parts that must agree are cross-checked: the header `n` and
 `set_system_fingerprint` against the system's, an `l1` `clock` against the
 ticks its supports encode, a priority `seen` against the heap coordinates
 and [1, n], and the weights a priority coordinate carries in its heaps
@@ -47,7 +49,7 @@ from .l1_adapter import L1UniversalSketch
 from .lp_additive import LpSetSketch, sketch_shape
 from .priority_sampling import PrioritySketch
 from .setsystem import IntervalSystem, SetSystem
-from .subset_l0 import DETECTOR_BUDGET, L0UniversalSketch, coarse_thresholds
+from .subset_l0 import L0UniversalSketch, detector_repetitions
 
 FORMAT_VERSION = 1
 SKETCH_KINDS = ("l0", "l1", "priority", "lp_additive")
@@ -161,25 +163,14 @@ def _l0_restore(sk: L0UniversalSketch, supports: dict) -> None:
             raise ValueError(f"support {name}: {e}") from None
 
 
-def _detector_reps(sk: L0UniversalSketch) -> int:
-    return sk.coarse.banks[0].reps
-
-
-def _checked_supports(state, universe: int) -> tuple[int, dict]:
-    """(detector_reps, supports) of a support-sketch state, checked before
-    any sampler is built: every sampled coarse bank stores detector_reps
-    copies, so the copy supports present must number exactly that many per
-    sampled bank."""
-    reps = _field(state, "detector_reps", int)
-    supports = _field(state, "supports", dict)
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError(f"detector_reps must be odd and positive, got {reps}")
-    banks = sum(t > DETECTOR_BUDGET for t in coarse_thresholds(universe))
-    copies = sum(1 for name in supports if name.startswith("coarse.bank"))
-    if copies != banks * reps:
-        raise ValueError(f"detector_reps {reps} does not match the {copies} "
-                         f"detector supports of {banks} sampled banks")
-    return reps, supports
+def _checked_supports(state, universe: int) -> dict:
+    """The supports of a support-sketch state whose `detector_reps` is the
+    count the universe fixes, checked before any sampler is built."""
+    reps, want = _field(state, "detector_reps", int), detector_repetitions(universe)
+    if reps != want:
+        raise ValueError(f"detector_reps {reps} differs from the {want} copies "
+                         f"a universe of {universe} fixes")
+    return _field(state, "supports", dict)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +198,7 @@ def _state_l0(sk: L0UniversalSketch) -> dict:
                   seed=sk.seed, fingerprint=sk.system.fingerprint())
     out["system"] = system_spec(sk.system)
     out["state"] = {
-        "detector_reps": _detector_reps(sk),
+        "detector_reps": detector_repetitions(sk.universe),
         "supports": _l0_supports(sk),
     }
     return out
@@ -215,9 +206,8 @@ def _state_l0(sk: L0UniversalSketch) -> dict:
 
 def _load_l0(d: dict) -> L0UniversalSketch:
     system = _checked_system(d)
-    reps, supports = _checked_supports(_field(d, "state", dict), system.n)
-    sk = L0UniversalSketch(system, _number(d, "epsilon"), _master_seed(d),
-                           detector_reps=reps)
+    supports = _checked_supports(_field(d, "state", dict), system.n)
+    sk = L0UniversalSketch(system, _number(d, "epsilon"), _master_seed(d))
     _l0_restore(sk, supports)
     return sk
 
@@ -229,7 +219,7 @@ def _state_l1(sk: L1UniversalSketch) -> dict:
     out["system"] = system_spec(sk.system)
     out["state"] = {
         "clock": sk.clock,
-        "detector_reps": _detector_reps(sk.inner),
+        "detector_reps": detector_repetitions(sk.universe),
         "supports": _l0_supports(sk.inner),
     }
     return out
@@ -242,9 +232,9 @@ def _load_l1(d: dict) -> L1UniversalSketch:
     clock = _field(state, "clock", int)
     if not 0 <= clock <= capacity:
         raise ValueError(f"clock {clock} outside [0, m_bar = {capacity}]")
-    reps, supports = _checked_supports(state, system.n * capacity)
+    supports = _checked_supports(state, system.n * capacity)
     sk = L1UniversalSketch(system, _number(d, "epsilon"), _master_seed(d),
-                           stream_capacity=capacity, detector_reps=reps)
+                           stream_capacity=capacity)
     sk.clock = clock
     _l0_restore(sk.inner, supports)
     # every stored virtual coordinate encodes the tick that claimed it

@@ -34,6 +34,8 @@ from .rng import derive_seed
 
 EXACT_SEARCH_MAX_N = 24
 _MATERIALIZE_MAX_SETS = 500_000
+# cells of the k x n uniform draw behind `family_random` (256 MiB of floats)
+FAMILY_RANDOM_MAX_CELLS = 1 << 25
 
 
 def _mask_from_coords(coords, n: int) -> int:
@@ -460,10 +462,14 @@ def family_random(n: int, k: int, q: float, seed: int) -> SetSystem:
     """k random sets, each coordinate included independently with density q.
 
     q is restricted to (0, 1/2]; dense random sets make the family trivial.
+    The k x n draw is refused above FAMILY_RANDOM_MAX_CELLS cells.
     Reproducible from the seed.
     """
     if not 0.0 < q <= 0.5:
         raise ValueError(f"density q must be in (0, 1/2], got {q}")
+    if k * n > FAMILY_RANDOM_MAX_CELLS:
+        raise ValueError(f"{k} x {n} random family exceeds "
+                         f"{FAMILY_RANDOM_MAX_CELLS} cells")
     rng = np.random.default_rng(derive_seed(seed, 0xFA11))
     rows = rng.random((k, n)) < q
     return SetSystem(n, [(np.flatnonzero(row) + 1).tolist() for row in rows])

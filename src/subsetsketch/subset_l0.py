@@ -135,7 +135,6 @@ class ThresholdDetector:
         universe: int | None = None,
         project=None,
         shared_exact: BoundedSampler | None = None,
-        reps: int | None = None,
     ) -> None:
         threshold = int(threshold)
         if threshold < 1:
@@ -144,9 +143,7 @@ class ThresholdDetector:
         self.threshold = threshold
         self.rate = min(1.0, DETECTOR_BUDGET / threshold)
         self.universe = universe if universe is not None else system.n
-        self.reps = detector_repetitions(self.universe) if reps is None else int(reps)
-        if self.reps < 1 or self.reps % 2 == 0:
-            raise ValueError("reps must be odd and positive")
+        self.reps = detector_repetitions(self.universe)
         if self.rate >= 1.0 and shared_exact is not None:
             self.instances = [shared_exact]
         else:
@@ -204,7 +201,6 @@ class CoarseL0Estimator:
         *,
         universe: int | None = None,
         project=None,
-        reps: int | None = None,
     ) -> None:
         self.system = system
         self.universe = universe if universe is not None else system.n
@@ -227,7 +223,6 @@ class CoarseL0Estimator:
                 universe=universe,
                 project=project,
                 shared_exact=self.exact,
-                reps=reps,
             )
             for j, threshold in enumerate(thresholds)
         ]
@@ -280,7 +275,6 @@ class L0UniversalSketch:
         *,
         universe: int | None = None,
         project=None,
-        detector_reps: int | None = None,
     ) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
@@ -298,7 +292,6 @@ class L0UniversalSketch:
             derive_seed(seed, "coarse"),
             universe=universe,
             project=project,
-            reps=detector_reps,
         )
         self.ladder = [
             BoundedSampler(

@@ -1,7 +1,8 @@
-"""Reference forms of the hashing and set-system primitives that only tests
-use: scalar and boolean views of the pairwise family, the alpha-inverse law,
-the vectorized counter hash, the set of coordinates a vector isolates, and
-the incidence matrix."""
+"""Reference forms of the hashing, set-system and lp primitives that only
+tests use: scalar and boolean views of the pairwise family, the alpha-inverse
+law, the vectorized counter hash, the set of coordinates a vector isolates,
+the incidence matrix, and an lp sketch's dense ingest and exact order
+statistic."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from subsetsketch.errors import UniverseTooLarge
 from subsetsketch.hashing import MERSENNE61, AlphaInverseSource, PairwiseHash, bernoulli_threshold
+from subsetsketch.lp_additive import LpSetSketch, selection_statistic
 from subsetsketch.rng import _GAMMA, MASK64
 from subsetsketch.setsystem import _as_explicit, _coords_from_mask, _mask_from_coords
 
@@ -80,3 +82,26 @@ def incidence_matrix(system) -> np.ndarray:
         for c in system.coords_of(j):
             out[j, c - 1] = 1
     return out
+
+
+def update_dense(sk: LpSetSketch, values) -> None:
+    """Ingest a whole length-n vector (equivalent to n single updates)."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (sk.n,):
+        raise ValueError(f"expected a length-{sk.n} vector")
+    (nz,) = np.nonzero(v)
+    sk.update_many((nz + 1).astype(np.uint64), v[nz])
+
+
+def query_exact(sk: LpSetSketch, s, values) -> float:
+    """The order statistic of `LpSetSketch.query` computed from exact scaled
+    values (count-sketch bypassed); reference path for calibration."""
+    coords = sk._subset_coords(s)
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (sk.n,):
+        raise ValueError(f"expected a length-{sk.n} vector")
+    if coords.size == 0:
+        return 0.0
+    scaled = sk.scalers_for(coords) * v[coords.astype(np.int64) - 1][None, :]
+    z = selection_statistic(np.abs(scaled).ravel(), sk.k)
+    return 2.0 ** (-1.0 / sk.p) * z

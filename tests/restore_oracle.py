@@ -39,8 +39,8 @@ def replay_restore(sampler, coords) -> None:
         sampler._frozen = True
 
 
-_EXPLICIT = ("counts", "slack", "per_orig", "orig_members", "_projected", "_sat", "_evicted")
-_INTERVAL = ("w", "per_orig", "orig_members", "_projected", "_sat_windows", "_evicted")
+_EXPLICIT = ("counts", "slack", "per_orig", "heaps", "_sat", "_evicted")
+_INTERVAL = ("w", "per_orig", "heaps", "_sat_windows", "_evicted")
 
 
 def bookkeeping(sampler) -> dict:
@@ -50,5 +50,8 @@ def bookkeeping(sampler) -> dict:
     out = {"_h": sampler._h, "_frozen": sampler._frozen}
     for name in names:
         v = getattr(impl, name)
+        if name == "heaps" and v is not None:
+            # a heap's list order follows push order; its contents do not
+            v = {o: sorted(h) for o, h in v.items()}
         out[name] = v.tolist() if isinstance(v, np.ndarray) else v
     return out

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import counter_hash_array
+from reference import counter_hash_array, query_exact, update_dense
 
 from subsetsketch.bounded_sampler import BoundedSampler
 from subsetsketch.hashing import PairwiseHash, bernoulli_threshold
@@ -338,9 +338,9 @@ def test_a08_additive_lp_sketch(p):
         full = _pnorm(v, p)
         subset = _pnorm(v * s, p)
         sk = LpSetSketch(A8_N, p, A8_EPS, seed=derive_seed(MASTER, "sk", i))
-        sk.update_dense(v)
+        update_dense(sk, v)
         sketch_hits += abs(sk.query(s) - subset) <= A8_EPS * full
-        exact_hits += abs(sk.query_exact(all_coords, v) - full) <= A8_EPS * full
+        exact_hits += abs(query_exact(sk, all_coords, v) - full) <= A8_EPS * full
 
         sq = (sk.scalers_for(all_coords) * v[None, :]).ravel() ** 2
         top = np.partition(sq, sq.size - sk.k)[sq.size - sk.k:]

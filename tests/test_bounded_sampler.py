@@ -207,7 +207,7 @@ def test_projected_batches_match_naive_with_bulk_and_evictions(monkeypatch):
     monkeypatch.setattr(_ExplicitState, "add_many", lambda self, c, o: (
         bulk_commits.append(c.size), add_many(self, c, o))[1])
     monkeypatch.setattr(_ExplicitState, "_forget", lambda self, v, o: (
-        shared_evictions.append(len(self.orig_members[o]) > 1), forget(self, v, o))[1])
+        shared_evictions.append(len(self.heaps[o]) > 1), forget(self, v, o))[1])
     n, m = 24, 5
     rng = np.random.default_rng(31)
     orig = SetSystem(n, [np.flatnonzero(rng.random(n) < q) + 1
@@ -252,6 +252,47 @@ def test_projection_on_intervals_matches_expanded_naive():
         real.update(int(x))
         ref.update(int(x))
         assert real.support() == ref.support()
+
+
+_ORIGINS = 60
+_HEAP_SYSTEMS = {
+    "explicit": SetSystem(_ORIGINS, [
+        np.flatnonzero(np.random.default_rng(7).random(_ORIGINS) < q) + 1
+        for q in (0.3, 0.5, 0.7, 0.9)]),
+    "interval": IntervalSystem(_ORIGINS, 20),
+}
+
+
+@pytest.mark.parametrize("backend", list(_HEAP_SYSTEMS))
+@pytest.mark.parametrize("m", [None, 4], ids=["unprojected", "projected"])
+def test_heaps_hold_the_support_grouped_by_origin(monkeypatch, backend, m):
+    # random batches with bulk commits and evictions: an unprojected sampler
+    # keeps no heaps, a projected one keeps exactly each origin's kept
+    # virtual coordinates
+    system = _HEAP_SYSTEMS[backend]
+    state = _IntervalState if backend == "interval" else _ExplicitState
+    bulk, evicted = [], []
+    add_many, forget = state.add_many, state._forget
+    monkeypatch.setattr(state, "add_many", lambda self, c, o: (
+        bulk.append(c.size), add_many(self, c, o))[1])
+    monkeypatch.setattr(state, "_forget", lambda self, v, o: (
+        evicted.append(v), forget(self, v, o))[1])
+    universe = _ORIGINS * (m or 1)
+    project = None if m is None else (lambda e: (e - 1) // m + 1)
+    rng = np.random.default_rng(41)
+    for budget, rate in ((16, 1.0), (24, 0.7)):
+        s = BoundedSampler(system, budget, rate, budget, universe=universe,
+                           project=project)
+        for _ in range(30):
+            s.update_many(rng.integers(1, universe + 1, size=int(rng.integers(1, 60))))
+            if m is None:
+                assert s._impl.heaps is None
+                continue
+            grouped: dict[int, list[int]] = {}
+            for c in s.support():
+                grouped.setdefault(project(c), []).append(c)
+            assert {o: sorted(h) for o, h in s._impl.heaps.items()} == grouped
+    assert bulk and len(evicted) >= 10
 
 
 def test_intersection_count_paths():

@@ -177,6 +177,15 @@ def test_parse_error_exit_code(tmp_path, sets_file):
         assert main(argv) == 2, argv
         assert not (tmp_path / "y.json").exists()
     assert main(["gen", "--kind", "uniform", "--n", "10", "--out", nowhere]) == 2
+    # a stream header n above the universe that --sets, --intervals or --n gives
+    wide = _write_stream(tmp_path, "wide.txt", ["# model=insertion n=100000000000", "3", "5"])
+    for argv in (["--sketch", "l0", "--sets", sets_path],
+                 ["--sketch", "l1", "--sets", sets_path],
+                 ["--sketch", "l0", "--intervals", "5", "--n", "40"],
+                 ["--sketch", "lp-additive", "--n", "40"]):
+        argv = ["build", "--stream", wide, "--out", str(tmp_path / "y.json"), *argv]
+        assert main(argv) == 2, argv
+        assert not (tmp_path / "y.json").exists()
 
 
 def test_query_rejection_exit_codes(tmp_path, sets_file, capsys):
@@ -204,22 +213,23 @@ def test_query_rejection_exit_codes(tmp_path, sets_file, capsys):
                          (lp, "1..99999999999999999999"), (lp, "1,99999999999999999999"),
                          (lp, "1..1000000000000"), (iv, "1..99999999999999999999"),
                          (iv, "1..41")):
-        run = _query_in_child(str(state), token)
+        run = _main_in_child("query", str(state), token)
         assert run.returncode == 4, (state.name, token, run.stderr)
         assert "outside universe [1, 40]" in run.stderr
 
 
 _CHILD_AS_LIMIT = 3 << 30
-_CHILD_QUERY = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from subsetsketch.cli import main; sys.exit(main(sys.argv[2:]))")
+_CHILD_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+               "from subsetsketch.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
-def _query_in_child(state: str, token: str) -> subprocess.CompletedProcess:
+def _main_in_child(*argv: str) -> subprocess.CompletedProcess:
+    """`cli.main(argv)` in a child process whose address space is limited."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_LIMIT, _CHILD_AS_LIMIT))
 
     src = os.path.dirname(os.path.dirname(subsetsketch.__file__))
-    return subprocess.run([sys.executable, "-c", _CHILD_QUERY, src, "query", state, token],
+    return subprocess.run([sys.executable, "-c", _CHILD_MAIN, src, *argv],
                           capture_output=True, text=True, preexec_fn=limit_memory,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
@@ -392,6 +402,11 @@ def test_hhdim_command(tmp_path, capsys):
     assert rc == 0
     dim, mode = capsys.readouterr().out.strip().split("\t")
     assert mode == "exact" and 1 <= int(dim) <= 5
+
+    # a random family past FAMILY_RANDOM_MAX_CELLS is refused before its draw
+    run = _main_in_child("hhdim", "--family", "random", "--n", "100000000", "--k", "3")
+    assert run.returncode == 2, run.stderr
+    assert "cells" in run.stderr and "Traceback" not in run.stderr
 
 
 def test_gen_command_round_trip(tmp_path, capsys):

@@ -69,8 +69,7 @@ def test_bulk_matches_replay_projected_l1(monkeypatch):
     pairs = _assert_same_bookkeeping(sketch_state(_projected_l1()), monkeypatch)
     # virtual coordinates, each projected onto its block's origin
     assert any(c != o for a, _ in pairs
-               for o, held in a._impl.orig_members.items() for c in held)
-    assert any(a._impl._projected for a, _ in pairs)
+               for o, held in a._impl.heaps.items() for c in held)
 
 
 def test_bulk_matches_replay_all_empty(monkeypatch):

@@ -5,6 +5,7 @@ from reference import hh_set, incidence_matrix
 from subsetsketch.errors import UniverseMismatch, UniverseTooLarge
 from subsetsketch.rng import derive_seed
 from subsetsketch.setsystem import (
+    FAMILY_RANDOM_MAX_CELLS,
     IntervalSystem,
     SetSystem,
     as_interval,
@@ -161,6 +162,8 @@ def test_random_family_reproducible_and_bounded():
         family_random(10, 3, 0.75, seed=1)
     with pytest.raises(ValueError):
         family_random(10, 3, 0.0, seed=1)
+    with pytest.raises(ValueError, match="cells"):
+        family_random(FAMILY_RANDOM_MAX_CELLS // 2 + 1, 2, 0.3, seed=1)
 
 
 def _random_family_bit_by_bit(n, k, q, seed):

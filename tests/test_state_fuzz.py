@@ -42,7 +42,7 @@ def _sketches():
     l0.update_many(rng.integers(1, 25, size=60))
     l0iv = L0UniversalSketch(IntervalSystem(40, 10), 0.5, seed=4)
     l0iv.update_many(rng.integers(1, 41, size=60))
-    l1 = L1UniversalSketch(system, 0.5, seed=4, stream_capacity=40, detector_reps=3)
+    l1 = L1UniversalSketch(system, 0.5, seed=4, stream_capacity=40)
     for c in rng.integers(1, 25, size=12):
         l1.update(int(c), 3)
     pri = PrioritySketch(system, 1.0, 3, seed=4)

@@ -334,5 +334,3 @@ def test_validation_errors():
                 sk.update(c)
     with pytest.raises(ValueError):
         ThresholdDetector(FULL_400, 0, 1)
-    with pytest.raises(ValueError):
-        ThresholdDetector(FULL_400, 10, 1, reps=4)
