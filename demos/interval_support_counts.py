@@ -7,7 +7,6 @@ all intervals of length >= 2500 in a universe of 10^4, feeds a skewed
 stream, then compares a handful of window queries against the truth.
 """
 
-import numpy as np
 
 from subsetsketch import IntervalSystem, L0UniversalSketch, gen_stream, replay
 
@@ -16,10 +15,10 @@ system = IntervalSystem(n, min_len=2500)
 sketch = L0UniversalSketch(system, epsilon=0.1, seed=7)
 
 stream = gen_stream("zipf", {"n": n, "length": 50_000, "theta": 1.1}, seed=7)
-sketch.update_many([coord for coord, _ in stream.updates])  # one batch
+sketch.update_many(stream.coords)  # one batch
 
 support = set(replay(stream).values)
-print(f"stream: {len(stream.updates)} arrivals, {len(support)} distinct ids")
+print(f"stream: {len(stream)} arrivals, {len(support)} distinct ids")
 print(f"sketch keeps {sketch.ladder_stored()} ids across its sampling levels\n")
 
 print(f"{'window':>14} {'truth':>6} {'estimate':>9} {'coarse':>7}")

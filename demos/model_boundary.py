@@ -9,8 +9,6 @@ additive turnstile sketch processes the same deletions natively and comes
 back with the right answer, at the price of additive (not relative) error.
 """
 
-import numpy as np
-
 from subsetsketch import IntervalSystem, L0UniversalSketch, LpSetSketch, gen_stream
 
 n = 1024
@@ -18,17 +16,14 @@ stream = gen_stream("adversarial-turnstile", {"n": n}, seed=3)
 lo, hi = stream.meta["interval"]
 window = range(lo, hi + 1)
 print(f"planted window [{lo}, {hi}]: one id survives, "
-      f"{sum(d < 0 for _, d in stream.updates)} deletions cancel the rest\n")
+      f"{(stream.values < 0).sum()} deletions cancel the rest\n")
 
 signblind = L0UniversalSketch(IntervalSystem(n, n // 2), epsilon=0.5, seed=11)
-for coord, _ in stream.updates:
-    signblind.update(coord)  # deletions look like re-insertions here
+signblind.update_many(stream.coords)  # deletions look like re-insertions here
 print(f"insertion-only sketch, deletions dropped: {signblind.query(window)}")
 
 turnstile = LpSetSketch(n, p=1.0, epsilon=0.2, seed=11)
-coords = np.array([c for c, _ in stream.updates])
-deltas = np.array([d for _, d in stream.updates])
-turnstile.update_many(coords, deltas)
+turnstile.update_many(stream.coords, stream.values)
 band = 0.2 * stream.meta["survivors"]  # promised error: 0.2 * whole-vector mass
 print(f"turnstile sketch on the same stream:      {turnstile.query(window):.3f}")
 print(f"truth:                                    1  (additive band: +/-{band:.1f})")

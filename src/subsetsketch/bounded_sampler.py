@@ -47,20 +47,24 @@ Counts only grow between evictions, and an arrival adds at most 1 to any
 count.  So while room = budget - max(count) is at least `_BULK_MIN_ROOM`,
 the next `room` distinct arrivals not already in H can neither evict, nor
 be skipped as saturated, nor freeze the sampler: `insert_sampled`, given
-arrivals whose xi is 1 by `update_many`'s own filter or by the columnar
-one of `subset_l0._SamplerPool`, commits them in one array pass per
-backend (`add_many`), and only the rest goes through `insert_presampled`.
+arrivals whose xi is 1, commits them in one array pass per backend
+(`add_many`), and only the rest goes through `insert_presampled`.
 `restore_support` rebuilds a sampler from a saved support with the same
 `add_many` on a fresh state, then checks that the result is settled.
+`_SamplerPool` makes the xi decisions of many samplers, a block per
+`coeff_mod_values` call; every support-sketch layer is a `_PoolFed`, fed
+through one pool packed over its samplers (a `BoundedSampler` is a pool of
+one), and `restore_support` checks a snapshot against the same decision.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 import numpy as np
 
-from .hashing import PairwiseHash, bernoulli_threshold
+from .hashing import PairwiseHash, bernoulli_threshold, coeff_mod_values
 from .setsystem import IntervalSystem, SetSystem, as_interval
 
 # the smallest room (and xi-filtered batch) that `insert_sampled` commits in
@@ -81,7 +85,66 @@ def checked_coords(coords, universe: int) -> np.ndarray:
     return arr
 
 
-class BoundedSampler:
+# xi decisions (samplers x batch items) that one hash call of a pool makes
+_POOL_CHUNK_CELLS = 1 << 14
+
+
+def _xi(coef: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """The sampling indicators over the coordinates `arr` of the samplers
+    whose `sampling_coefficients` are the uint64 rows of `coef`, a row each."""
+    return coeff_mod_values(coef[:, 0], coef[:, 1], arr) < coef[:, 2:]
+
+
+class _SamplerPool:
+    """Columnar xi decisions for a list of samplers over one universe.
+
+    Packs each sampler's hash coefficients and acceptance threshold once;
+    a batch is hashed for a block of samplers at a time (unless all are
+    frozen), and each unfrozen one takes its hits, in stream order,
+    through `insert_sampled`.
+    A rate-1 sampler's threshold, 2^61 - 1, is above every hash value, so
+    it takes every item.  Blocks group samplers, not items: a batch of m
+    items is hashed for max(1, _POOL_CHUNK_CELLS // m) samplers per call,
+    which bounds the hits held at once to one block's.
+    """
+
+    def __init__(self, samplers, universe: int) -> None:
+        self.samplers = list(samplers)
+        self.universe = universe
+        self._coef = np.array([s.sampling_coefficients for s in self.samplers],
+                              dtype=np.uint64).reshape(-1, 3)
+
+    def update_many(self, coords) -> None:
+        arr = checked_coords(coords, self.universe)
+        step = max(1, _POOL_CHUNK_CELLS // max(arr.size, 1))
+        for lo in range(0, len(self.samplers), step):
+            part = slice(lo, lo + step)
+            block = self.samplers[part]
+            if all(s._frozen for s in block):
+                continue
+            xi = _xi(self._coef[part], arr)
+            for i in np.flatnonzero(xi.any(axis=1)).tolist():
+                if not block[i]._frozen:
+                    block[i].insert_sampled(arr[xi[i]])
+
+
+class _PoolFed:
+    """A layer fed through one `_SamplerPool` over its `samplers` (set by
+    the subclass, with `universe`), packed on first use: `update_many` is
+    the pool's, and `update(c)` is `update_many((c,))`."""
+
+    @cached_property
+    def pool(self) -> _SamplerPool:
+        return _SamplerPool(self.samplers, self.universe)
+
+    def update(self, coord: int) -> None:
+        self.update_many((coord,))
+
+    def update_many(self, coords) -> None:
+        self.pool.update_many(coords)
+
+
+class BoundedSampler(_PoolFed):
     def __init__(
         self,
         system,
@@ -134,23 +197,20 @@ class BoundedSampler:
             return True
         return self._hash.value(coord) < self._threshold
 
-    def _sampled_many(self, arr: np.ndarray) -> np.ndarray:
-        """`sampled` over an int64 array of coordinates."""
-        return self._hash.values(arr.astype(np.uint64)) < np.uint64(self._threshold)
-
     @property
     def sampling_coefficients(self) -> tuple[int, int, int]:
         """(a, b, threshold): xi(c) = 1 iff (a*c + b) mod (2^61 - 1) < threshold.
 
-        Lets an owner of many samplers batch the xi decisions itself and
-        then call `insert_presampled` on the hits.
+        Lets a `_SamplerPool` batch the xi decisions of many samplers and
+        hand each its hits through `insert_sampled`.
         """
         return self._hash.a, self._hash.b, self._threshold
 
-    # -- stream --------------------------------------------------------------
+    @property
+    def samplers(self) -> list[BoundedSampler]:  # fed on its own, a pool of one
+        return [self]
 
-    def update(self, coord: int) -> None:
-        self.update_many((coord,))
+    # -- stream --------------------------------------------------------------
 
     def insert_presampled(self, coord: int) -> None:
         """Insert a coordinate whose sampling decision was made externally."""
@@ -167,14 +227,6 @@ class BoundedSampler:
             self._h.discard(victim)
         if self.vote_only and self._impl.fully_saturated:
             self._frozen = True
-
-    def update_many(self, coords) -> None:
-        arr = checked_coords(coords, self.universe)
-        if self._frozen:
-            return
-        if self.rate < 1.0:
-            arr = arr[self._sampled_many(arr)]
-        self.insert_sampled(arr)
 
     def insert_sampled(self, arr: np.ndarray) -> None:
         """Insert, in stream order, an int64 array of arrivals whose xi the
@@ -253,10 +305,9 @@ class BoundedSampler:
         dup = np.flatnonzero(arr[1:] == arr[:-1])
         if dup.size:
             raise ValueError(f"snapshot coordinate {arr[dup[0]]} appears twice")
-        if self.rate < 1.0:
-            xi = self._sampled_many(arr)
-            if not xi.all():
-                raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
+        xi = _xi(np.array([self.sampling_coefficients], dtype=np.uint64), arr)[0]
+        if not xi.all():
+            raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
         origs = arr if self.project is None else self.project(arr)
         hit = self._impl.touches_sets(origs)
         if not hit.all():

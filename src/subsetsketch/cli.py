@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .setsystem import (
     hh_dim_greedy_lower,
     read_sets_file,
 )
-from .streams import check_insertion, gen_stream, parse_stream_lines, read_stream_file
+from .streams import MODELS, gen_stream, parse_stream_lines, read_stream_file
 from .subset_l0 import L0UniversalSketch
 
 EXIT_OK = 0
@@ -54,19 +55,12 @@ EXIT_PARSE = 2
 EXIT_MODEL = 3
 EXIT_QUERY = 4
 
-# which stream models each sketch kind can consume soundly
-COMPATIBLE = {
-    "l0": ("insertion",),
-    "l1": ("insertion",),
-    "priority": ("entrywise",),
-    "lp-additive": ("insertion", "turnstile", "entrywise"),
-}
-
 _INSERTION_ONLY_WHY = (
     "the support and summed-value sketches are insertion-only: each unit of "
     "value claims a fresh virtual coordinate that a later deletion cannot "
     "locate, and replaying deletions with their signs dropped overcounts"
 )
+_ENTRYWISE_WHY = "the entrywise sketch stores each coordinate once and cannot accumulate"
 
 
 class CliError(Exception):
@@ -84,9 +78,7 @@ def _read_stream(path: str):
         if path == "-":
             return parse_stream_lines(sys.stdin)
         return read_stream_file(path)
-    except StreamFormatError as e:
-        raise CliError(EXIT_PARSE, f"stream: {e}")
-    except OSError as e:
+    except (StreamFormatError, OSError) as e:
         raise CliError(EXIT_PARSE, f"stream: {e}")
 
 
@@ -110,80 +102,91 @@ def _load_system(args):
 
 
 def _resolve_model(args, stream) -> str:
+    """`--model`, else the header's model, else the model the parser
+    inferred if the kind consumes it, else the kind's default."""
+    kind = KINDS[args.sketch]
     declared = stream.meta.get("header_model")
-    model = args.model or declared or COMPATIBLE[args.sketch][0]
     if declared and args.model and declared != args.model:
         raise CliError(
             EXIT_MODEL,
             f"stream declares model={declared} but --model {args.model} was given",
         )
-    if model not in COMPATIBLE[args.sketch]:
-        why = _INSERTION_ONLY_WHY if args.sketch in ("l0", "l1") else \
-            "the entrywise sketch stores each coordinate once and cannot accumulate"
+    model = args.model or declared
+    if model is None:
+        model = stream.model if stream.model in kind.models else kind.models[0]
+    if model not in kind.models:
         raise CliError(
             EXIT_MODEL,
-            f"sketch {args.sketch} cannot consume a {model} stream; {why}",
+            f"sketch {args.sketch} cannot consume a {model} stream; {kind.why}",
         )
     return model
 
 
+def _fed(sk, *columns):
+    sk.update_many(*columns)  # one batch: every sampler still sees the stream in order
+    return sk
+
+
+def _fed_per_line(stream, sk):
+    # One update per line, on purpose.  The priority sketch has no batch
+    # update.  An lp batch sums each counter's keys offset-major through
+    # bincount, which is what makes selfcheck's additive-cancellation exact,
+    # but that sum differs bitwise from adding line by line, so a batched
+    # build would change the state files.
+    for c, v in zip(stream.coords.tolist(), stream.values.tolist()):
+        sk.update(c, v)
+    return sk
+
+
+class Kind(NamedTuple):
+    models: tuple[str, ...]  # the stream models it consumes soundly, default first
+    why: str  # why it refuses the others
+    needs_system: bool  # built over --sets or --intervals, not over --n alone
+    build: Callable  # (args, stream, system, universe, seed) -> the fed sketch
+
+
+KINDS = {
+    "l0": Kind(("insertion",), _INSERTION_ONLY_WHY, True, lambda a, s, system, n, seed:
+               _fed(L0UniversalSketch(system, a.eps, seed), s.coords)),
+    "l1": Kind(("insertion",), _INSERTION_ONLY_WHY, True, lambda a, s, system, n, seed:
+               _fed(L1UniversalSketch(system, a.eps, seed, stream_capacity=a.capacity),
+                    s.coords, s.values)),
+    "priority": Kind(("entrywise",), _ENTRYWISE_WHY, True, lambda a, s, system, n, seed:
+                     _fed_per_line(s, PrioritySketch(system, a.p, a.k or sample_budget(a.eps),
+                                                     seed))),
+    "lp-additive": Kind(MODELS, "", False, lambda a, s, system, n, seed:
+                        _fed_per_line(s, LpSetSketch(n, a.p, a.eps, seed, k=a.k))),
+}
+
+
 def cmd_build(args) -> int:
+    kind = KINDS[args.sketch]
     stream = _read_stream(args.stream)
     model = _resolve_model(args, stream)
     system = _load_system(args)
-    if args.sketch in ("l0", "l1", "priority") and system is None:
+    if kind.needs_system and system is None:
         raise CliError(EXIT_PARSE, f"--sets (or --intervals) is required for {args.sketch}")
-    universe = system.n if system is not None else None
-    if args.sketch == "lp-additive":
-        universe = args.n or universe
-    if universe is not None and stream.n > universe:
+    universe = system.n if system is not None else stream.n
+    if not kind.needs_system and args.n:
+        universe = args.n
+    if stream.n > universe:
         raise CliError(EXIT_PARSE, f"stream n = {stream.n} exceeds the universe "
                                    f"[1, {universe}] of the sketch")
 
     seed = derive_seed(args.seed, "build", args.sketch)
     try:
-        if model == "insertion":
-            for _, v in stream.updates:
-                check_insertion(v)
-        if args.sketch == "l0":
-            sk = L0UniversalSketch(system, args.eps, seed)
-            # one batch: every sampler still sees the stream in order
-            sk.update_many(np.fromiter((c for c, _ in stream.updates),
-                                       dtype=np.int64, count=len(stream.updates)))
-        elif args.sketch == "l1":
-            sk = L1UniversalSketch(system, args.eps, seed,
-                                   stream_capacity=args.capacity)
-            sk.update_many([c for c, _ in stream.updates],
-                           [int(v) for _, v in stream.updates])
-        elif args.sketch == "priority":
-            k = args.k if args.k else sample_budget(args.eps)
-            sk = PrioritySketch(system, args.p, k, seed)
-            for c, v in stream.updates:
-                sk.update(c, v)
-        else:  # lp-additive
-            sk = LpSetSketch(universe or stream.n, args.p, args.eps, seed, k=args.k)
-            if model == "entrywise":
-                seen: set[int] = set()
-                for c, v in stream.updates:
-                    if c in seen:
-                        raise DuplicateEntry(f"coordinate {c} delivered twice")
-                    seen.add(c)
-                    sk.update(c, v)
-            else:
-                for c, v in stream.updates:
-                    sk.update(c, v)
+        stream.check(model)
+        sk = kind.build(args, stream, system, universe, seed)
     except (ModelMismatch, DuplicateEntry, StreamLengthExceeded) as e:
         raise CliError(EXIT_MODEL, str(e))
     except (ValueError, UniverseTooLarge) as e:
         raise CliError(EXIT_PARSE, str(e))
-    except OverflowError:  # too large for a machine integer, so in no universe
-        raise CliError(EXIT_PARSE, "stream coordinate outside the universe")
 
     try:
         save_sketch(sk, args.out)
     except OSError as e:
         raise CliError(EXIT_PARSE, f"out: {e}")
-    print(f"wrote {args.out} ({args.sketch}, {len(stream.updates)} updates)")
+    print(f"wrote {args.out} ({args.sketch}, {len(stream)} updates)")
     return EXIT_OK
 
 
@@ -243,9 +246,7 @@ def cmd_query(args) -> int:
         target = _query_target(sk, token)
         try:
             est = sk.query(target)
-        except QueryNotInSystem as e:
-            raise CliError(EXIT_QUERY, str(e))
-        except ValueError as e:
+        except (QueryNotInSystem, ValueError) as e:
             raise CliError(EXIT_QUERY, str(e))
         out.append(f"{token}\t{est:.6g}")
     print("\n".join(out))
@@ -258,10 +259,7 @@ def cmd_query(args) -> int:
 
 def _family_from_args(args):
     if args.sets:
-        try:
-            return read_sets_file(args.sets)
-        except (StreamFormatError, ValueError, OSError) as e:
-            raise CliError(EXIT_PARSE, f"sets file: {e}")
+        return _load_system(args)
     fams = {
         "singletons": lambda: family_singletons(args.n),
         "intervals": lambda: family_intervals(args.n, args.k),
@@ -334,7 +332,7 @@ def _check(name: str, fn) -> bool:
 def cmd_selfcheck(args) -> int:
     from .bounded_sampler import BoundedSampler
     from .serialize import sketch_from_state, sketch_state
-    from .streams import ExactVector, exact_subset_norm, replay
+    from .streams import Stream, exact_subset_norm, replay
 
     rng = np.random.default_rng(7)
 
@@ -356,9 +354,7 @@ def cmd_selfcheck(args) -> int:
         sk = L0UniversalSketch(system, 0.5, seed=3)
         coords = rng.permutation(64)[:40] + 1
         sk.update_many(coords)
-        exact = ExactVector(64)
-        for c in coords:
-            exact.apply(int(c))
+        exact = replay(Stream("insertion", 64, coords, np.ones(coords.size)))
         good = 0
         probes = [(lo, lo + 7) for lo in range(1, 58, 7)]
         for lo, hi in probes:
@@ -411,8 +407,7 @@ def cmd_selfcheck(args) -> int:
             LpSetSketch(24, 1.0, 0.5, seed=14, k=16),
         ]
         sketches[0].update_many(rng.integers(1, 25, size=60))
-        for c in rng.integers(1, 25, size=40):
-            sketches[1].update(int(c), 1)
+        sketches[1].update_many(rng.integers(1, 25, size=40), np.ones(40))
         for c in rng.permutation(24)[:15] + 1:
             sketches[2].update(int(c), float(rng.standard_normal()))
         sketches[3].update_many(rng.integers(1, 25, size=30),
@@ -462,7 +457,7 @@ def _parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="consume a stream, write a sketch state file")
     b.add_argument("--sketch", required=True,
-                   choices=["l0", "l1", "priority", "lp-additive"])
+                   choices=list(KINDS))
     b.add_argument("--model", choices=["insertion", "turnstile", "entrywise"],
                    help="stream model; defaults to the header or the sketch's native model")
     b.add_argument("--stream", required=True, help="stream file, or - for stdin")

@@ -241,9 +241,11 @@ class IntervalSystem:
 
     @property
     def num_sets(self) -> int:
-        if self.min_len > self.n:
+        a, b = self.min_len, self.max_len
+        if a > self.n:
             return 0
-        return sum(self.n - length + 1 for length in range(self.min_len, self.max_len + 1))
+        # sum of n - L + 1 over L in [a, b], in closed form
+        return (b - a + 1) * (self.n + 1) - (a + b) * (b - a + 1) // 2
 
     def is_member(self, lo: int, hi: int) -> bool:
         return 1 <= lo <= hi <= self.n and self.min_len <= hi - lo + 1 <= self.max_len

@@ -9,13 +9,16 @@ The text stream format (one update per line, 1-based coordinates):
 
 The header is optional on input; without it the model is inferred from line
 arity (bare coordinates mean insertion, pairs mean turnstile) and n from the
-largest coordinate.  `ExactVector` replays any stream exactly and is the
-ground truth everything else is judged against.
+largest coordinate; a coordinate must lie in [1, 2^63).  A `Stream` is
+columnar (`coords`, `values`).  `ExactVector` replays any stream exactly and
+is the ground truth everything else is judged against; `Stream.check(model)`
+raises what replaying the stream under a model would.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +35,15 @@ MODELS = ("insertion", "turnstile", "entrywise")
 MAX_STREAM_LENGTH = 10**7
 
 
-def check_insertion(value: float) -> None:
-    """The insertion model's rule: every increment is a positive integer."""
-    if not math.isfinite(value) or value != int(value) or value < 1:
+def check_insertion(values) -> None:
+    """The insertion model's rule: every increment is a positive integer.
+    Takes one value or an array; a violation names the first offending value."""
+    v = np.asarray(values, dtype=np.float64)
+    ok = (v >= 1) & (v < math.inf) & (np.floor(v) == v)  # NaN fails all three
+    if not ok.all():
+        bad = v.flat[int(np.argmin(ok))]
         raise ModelMismatch(
-            f"insertion model takes positive integer increments, got {value}"
+            f"insertion model takes positive integer increments, got {bad}"
         )
 
 
@@ -120,27 +127,45 @@ def exact_subset_norm(v, s, p: float) -> float:
 # stream files
 
 
-@dataclass
+@dataclass(eq=False)  # field-wise == breaks on arrays
 class Stream:
+    """A parsed or generated stream, one row per update: `coords` (int64,
+    1-based) and `values` (float64, the increment, delta or entry)."""
+
     model: str
     n: int
-    updates: list[tuple[int, float]]
+    coords: np.ndarray
+    values: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.updates)
+    def __post_init__(self) -> None:
+        self.coords = np.asarray(self.coords, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
 
-    def __iter__(self):
-        return iter(self.updates)
+    def __len__(self) -> int:
+        return self.coords.size
+
+    def check(self, model: str) -> None:
+        """Raise what `replay` would on the first update breaking `model`:
+        ModelMismatch, DuplicateEntry (entrywise) or ValueError (not finite)."""
+        if model == "insertion":
+            return check_insertion(self.values)
+        repeat = np.full(len(self), model == "entrywise")
+        repeat[np.unique(self.coords, return_index=True)[1]] = False
+        bad = np.flatnonzero(repeat | ~np.isfinite(self.values))[:1]
+        if bad.size and repeat[bad[0]]:
+            raise DuplicateEntry(f"coordinate {self.coords[bad[0]]} delivered twice")
+        if bad.size:
+            raise ValueError(f"{model} value must be finite, got {self.values[bad[0]]}")
 
     def lines(self) -> list[str]:
         out = [f"# model={self.model} n={self.n}"]
+        rows = zip(self.coords.tolist(), self.values.tolist())
         if self.model == "insertion":
-            for c, v in self.updates:
+            for c, v in rows:
                 out.extend([str(c)] * int(v))
         else:
-            for c, v in self.updates:
-                out.append(f"{c} {v:g}")
+            out.extend(f"{c} {v:g}" for c, v in rows)
         return out
 
     def write(self, path) -> None:
@@ -166,14 +191,15 @@ def _parse_header(line: str) -> tuple[str | None, int | None]:
 def parse_stream_lines(lines) -> Stream:
     model: str | None = None
     n: int | None = None
-    updates: list[tuple[int, float]] = []
+    coords: list[int] = []
+    values: list[float] = []
     arity = None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if lineno == 1 or not updates:
+            if lineno == 1 or not coords:
                 m, hn = _parse_header(line)
                 model = model or m
                 n = n or hn
@@ -185,8 +211,8 @@ def parse_stream_lines(lines) -> Stream:
             coord = int(toks[0])
         except ValueError as e:
             raise StreamFormatError(f"line {lineno}: bad coordinate {toks[0]!r}") from e
-        if coord < 1:
-            raise StreamFormatError(f"line {lineno}: coordinate must be >= 1")
+        if not 1 <= coord < 1 << 63:  # stored as int64
+            raise StreamFormatError(f"line {lineno}: coordinate {coord} outside [1, 2^63)")
         if len(toks) == 2:
             try:
                 value = float(toks[1])
@@ -195,16 +221,17 @@ def parse_stream_lines(lines) -> Stream:
         else:
             value = 1.0
         arity = arity or len(toks)
-        updates.append((coord, value))
+        coords.append(coord)
+        values.append(value)
     meta = {"header_model": model, "header_n": n}
     if model is None:
         model = "insertion" if arity in (None, 1) else "turnstile"
+    top = max(coords, default=0)
     if n is None:
-        n = max((c for c, _ in updates), default=1)
-    top = max((c for c, _ in updates), default=0)
+        n = max(top, 1)
     if top > n:
         raise StreamFormatError(f"coordinate {top} exceeds declared n={n}")
-    return Stream(model, n, updates, meta)
+    return Stream(model, n, coords, values, meta)
 
 
 def read_stream_file(path) -> Stream:
@@ -213,14 +240,16 @@ def read_stream_file(path) -> Stream:
 
 
 def replay(stream) -> ExactVector:
-    """Accumulate a Stream (or path, or iterable of lines) exactly."""
-    if not isinstance(stream, Stream):
-        if hasattr(stream, "read") or (isinstance(stream, str) and "\n" not in stream):
-            stream = read_stream_file(stream)
-        else:
-            stream = parse_stream_lines(stream)
+    """Accumulate a Stream (or its text, a path, or lines such as an open
+    file) exactly."""
+    if isinstance(stream, str) and "\n" in stream:  # the text itself
+        stream = parse_stream_lines(stream.splitlines())
+    elif isinstance(stream, (str, os.PathLike)):
+        stream = read_stream_file(stream)
+    elif not isinstance(stream, Stream):  # an open file or other lines
+        stream = parse_stream_lines(stream)
     v = ExactVector(stream.n, stream.model)
-    for coord, value in stream.updates:
+    for coord, value in zip(stream.coords.tolist(), stream.values.tolist()):
         v.apply(coord, value)
     return v
 
@@ -257,7 +286,7 @@ def _gen_uniform(params: dict, rng) -> Stream:
     n = int(params.get("n", 1024))
     m = _check_length(params.get("length", n))
     coords = rng.integers(1, n + 1, size=m)
-    return Stream("insertion", n, [(int(c), 1.0) for c in coords], {"kind": "uniform"})
+    return Stream("insertion", n, coords, np.ones(m), {"kind": "uniform"})
 
 
 def _gen_zipf(params: dict, rng) -> Stream:
@@ -269,9 +298,7 @@ def _gen_zipf(params: dict, rng) -> Stream:
     ranks = rng.choice(n, size=m, p=weights)
     perm = rng.permutation(n) + 1  # which coordinate gets which rank
     coords = perm[ranks]
-    return Stream(
-        "insertion", n, [(int(c), 1.0) for c in coords], {"kind": "zipf", "theta": theta}
-    )
+    return Stream("insertion", n, coords, np.ones(m), {"kind": "zipf", "theta": theta})
 
 
 def _gen_planted(params: dict, rng) -> Stream:
@@ -288,12 +315,8 @@ def _gen_planted(params: dict, rng) -> Stream:
         rng.integers(lo, hi + 1, size=m),
         rng.integers(1, n + 1, size=m),
     )
-    return Stream(
-        "insertion",
-        n,
-        [(int(c), 1.0) for c in coords],
-        {"kind": "planted-subset", "interval": (lo, hi)},
-    )
+    return Stream("insertion", n, coords, np.ones(m),
+                  {"kind": "planted-subset", "interval": (lo, hi)})
 
 
 def _gen_adv_turnstile(params: dict, rng) -> Stream:
@@ -319,12 +342,11 @@ def _gen_adv_turnstile(params: dict, rng) -> Stream:
     inserts = ones.copy()
     rng.shuffle(inserts)
     suffix = ones[ones > pivot]
-    updates = [(int(c), 1.0) for c in inserts]
-    updates += [(int(c), -1.0) for c in suffix[::-1]]
     return Stream(
         "turnstile",
         n,
-        updates,
+        np.concatenate([inserts, suffix[::-1]]),
+        np.repeat([1.0, -1.0], [inserts.size, suffix.size]),
         {
             "kind": "adversarial-turnstile",
             "interval": (pivot, pivot + half - 1),
@@ -345,10 +367,10 @@ def _gen_adv_sliding(params: dict, rng) -> Stream:
     _check_length(n)
     stale = rng.permutation(half) + 1
     fresh = rng.permutation(half) + half + 1
-    updates = [(int(c), 1.0) for c in np.concatenate([stale, fresh])]
     return Stream(
         "insertion",
         n,
-        updates,
+        np.concatenate([stale, fresh]),
+        np.ones(n),
         {"kind": "adversarial-sliding", "interval": (1, half), "window": half},
     )

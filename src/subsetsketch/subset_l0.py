@@ -14,31 +14,32 @@ Composition, bottom up:
 * `ensemble.MedianEnsemble` medians independent sketches so that all
   member sets succeed simultaneously rather than one at a time.
 
-Detectors whose rate is 1 all alias one shared exact sampler.  Each sketch
-feeds all of its samplers, the rate-1 ones included, through one
-`_SamplerPool` (a coarse estimator or detector fed on its own packs one on
-first update): a batch costs one vectorized hash evaluation per block of
-samplers instead of a Python loop over instances, and `update(c)` of every
-class here is `update_many((c,))`.
+Detectors whose rate is 1 all alias one shared exact sampler.  Each class
+here feeds all of its samplers, the rate-1 ones included, through one
+`bounded_sampler._SamplerPool`, packed on first update (`_PoolFed`): a
+batch costs one vectorized hash evaluation per block of samplers instead of
+a Python loop over instances, and `update(c)` is `update_many((c,))`.  An
+interval sketch refuses a universe whose samplers would hold more than
+`MAX_INTERVAL_CELLS` window cells before it builds any.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from functools import cached_property
 
-import numpy as np
-
-from .bounded_sampler import BoundedSampler, checked_coords
-from .errors import QueryNotInSystem
-from .hashing import coeff_mod_values
+from .bounded_sampler import BoundedSampler, _PoolFed
+from .errors import QueryNotInSystem, UniverseTooLarge
 from .rng import derive_seed
 from .setsystem import IntervalSystem
 
 log = logging.getLogger(__name__)
 
 DETECTOR_BUDGET = 100
+# window cells (samplers x (n + 1)) an interval support sketch may hold: each
+# of its samplers keeps two int32 arrays of about n + 1 entries, so the cap
+# is 256 MiB; a large n would otherwise size them without bound
+MAX_INTERVAL_CELLS = 1 << 25
 
 
 def detector_repetitions(universe: int) -> int:
@@ -74,45 +75,7 @@ def resolve_member(system, q):
     return system.member(sid)
 
 
-# xi decisions (samplers x batch items) that one hash call of a pool makes
-_POOL_CHUNK_CELLS = 1 << 14
-
-
-class _SamplerPool:
-    """Columnar xi decisions for a list of samplers over one universe.
-
-    Packs each sampler's hash coefficients and acceptance threshold once;
-    a batch is hashed for a block of samplers at a time (unless all are
-    frozen), and each unfrozen one takes its hits, in stream order,
-    through `insert_sampled`.
-    A rate-1 sampler's threshold, 2^61 - 1, is above every hash value, so
-    it takes every item.  Blocks group samplers, not items: a batch of m
-    items is hashed for max(1, _POOL_CHUNK_CELLS // m) samplers per call,
-    which bounds the hits held at once to one block's.
-    """
-
-    def __init__(self, samplers, universe: int) -> None:
-        self.samplers = list(samplers)
-        self.universe = universe
-        coef = np.array([s.sampling_coefficients for s in self.samplers],
-                        dtype=np.uint64).reshape(-1, 3)
-        self._a, self._b, self._t = coef[:, 0], coef[:, 1], coef[:, 2:]
-
-    def update_many(self, coords) -> None:
-        arr = checked_coords(coords, self.universe)
-        step = max(1, _POOL_CHUNK_CELLS // max(arr.size, 1))
-        for lo in range(0, len(self.samplers), step):
-            part = slice(lo, lo + step)
-            block = self.samplers[part]
-            if all(s._frozen for s in block):
-                continue
-            xi = coeff_mod_values(self._a[part], self._b[part], arr) < self._t[part]
-            for i in np.flatnonzero(xi.any(axis=1)).tolist():
-                if not block[i]._frozen:
-                    block[i].insert_sampled(arr[xi[i]])
-
-
-class ThresholdDetector:
+class ThresholdDetector(_PoolFed):
     """Votes [support count within a member set >= threshold].
 
     The natural vote (median rescaled count >= threshold) reduces to an
@@ -156,17 +119,6 @@ class ThresholdDetector:
         # the samplers this detector feeds: not a caller's shared one
         self.samplers = [s for s in self.instances if s is not shared_exact]
 
-    @cached_property
-    def pool(self) -> _SamplerPool:
-        # packed on first update; a coarse estimator packs its own
-        return _SamplerPool(self.samplers, self.universe)
-
-    def update(self, coord: int) -> None:
-        self.update_many((coord,))
-
-    def update_many(self, coords) -> None:
-        self.pool.update_many(coords)
-
     def query(self, q) -> bool:
         return self.query_resolved(resolve_member(self.system, q))
 
@@ -179,7 +131,7 @@ class ThresholdDetector:
         return counts[len(counts) // 2] >= min(self.threshold, DETECTOR_BUDGET)
 
 
-class CoarseL0Estimator:
+class CoarseL0Estimator(_PoolFed):
     """Power-of-two bracket on a member set's support count.
 
     Bank j holds a detector at threshold max(1, 2^(j-2)).  The estimate is
@@ -228,17 +180,6 @@ class CoarseL0Estimator:
         ]
         self.samplers = [self.exact, *(s for det in self.banks for s in det.samplers)]
 
-    @cached_property
-    def pool(self) -> _SamplerPool:
-        # packed on first update; a support sketch packs its own
-        return _SamplerPool(self.samplers, self.universe)
-
-    def update(self, coord: int) -> None:
-        self.update_many((coord,))
-
-    def update_many(self, coords) -> None:
-        self.pool.update_many(coords)
-
     def query(self, q) -> int:
         return self.query_resolved(resolve_member(self.system, q))
 
@@ -257,7 +198,7 @@ class CoarseL0Estimator:
         return fallback
 
 
-class L0UniversalSketch:
+class L0UniversalSketch(_PoolFed):
     """(1 +- eps) support-size estimates for every member set of a system.
 
     The coarse bracket picks the sampling level whose expected surviving
@@ -287,6 +228,15 @@ class L0UniversalSketch:
         except (ZeroDivisionError, OverflowError):  # eps^2 underflows
             raise ValueError(f"epsilon {epsilon} is too small to size a budget") from None
         self.levels = math.ceil(math.log2(max(self.universe, 2))) + 1
+        if isinstance(system, IntervalSystem):
+            # the shared exact sampler, each sampled bank's copies, the ladder
+            sampled = sum(t > DETECTOR_BUDGET for t in coarse_thresholds(self.universe))
+            samplers = 1 + sampled * detector_repetitions(self.universe) + self.levels
+            if samplers * (system.n + 1) > MAX_INTERVAL_CELLS:
+                raise UniverseTooLarge(
+                    f"{samplers} interval samplers over n = {system.n} need "
+                    f"{samplers * (system.n + 1)} window cells, above the cap "
+                    f"of {MAX_INTERVAL_CELLS}")
         self.coarse = CoarseL0Estimator(
             system,
             derive_seed(seed, "coarse"),
@@ -304,13 +254,7 @@ class L0UniversalSketch:
             )
             for i in range(1, self.levels + 1)
         ]
-        self.pool = _SamplerPool([*self.coarse.samplers, *self.ladder], self.universe)
-
-    def update(self, coord: int) -> None:
-        self.update_many((coord,))
-
-    def update_many(self, coords) -> None:
-        self.pool.update_many(coords)
+        self.samplers = [*self.coarse.samplers, *self.ladder]
 
     def level_for(self, bracket: int) -> int:
         """Sampling level leaving about 100/eps^2 expected survivors."""

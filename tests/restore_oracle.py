@@ -15,10 +15,9 @@ def update_per_coordinate(sampler, coords) -> None:
         raise ValueError(f"coordinate {bad} outside universe [1, {sampler.universe}]")
     if sampler._frozen:
         return
-    if sampler.rate < 1.0:
-        arr = arr[sampler._sampled_many(arr)]
-    for c in arr:
-        sampler.insert_presampled(int(c))
+    for c in arr.tolist():
+        if sampler.sampled(c):
+            sampler.insert_presampled(c)
 
 
 def replay_restore(sampler, coords) -> None:

@@ -399,14 +399,12 @@ def test_a10_model_boundary():
         truth = 1.0  # single surviving coordinate in the planted interval
 
         l0 = L0UniversalSketch(family, 0.5, derive_seed(MASTER, "a10", i, 0))
-        for c, _ in stream.updates:  # deletions replayed sign-blind
-            l0.update(int(c))
+        for c in stream.coords.tolist():  # deletions replayed sign-blind
+            l0.update(c)
         defeated += abs(l0.query(range(lo, hi + 1)) - truth) / truth > 1.0
 
         lp = LpSetSketch(n, 1.0, 0.2, derive_seed(MASTER, "a10", i, 1))
-        cs = np.array([c for c, _ in stream.updates])
-        ds = np.array([d for _, d in stream.updates])
-        lp.update_many(cs, ds)
+        lp.update_many(stream.coords, stream.values)
         l1 = sum(abs(x) for x in replay(stream).values.values())
         within += abs(lp.query(range(lo, hi + 1)) - truth) <= 0.2 * l1
     ok = defeated >= 0.9 * seeds and within >= 0.85 * seeds

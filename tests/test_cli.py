@@ -17,7 +17,7 @@ from subsetsketch.rng import derive_seed
 from subsetsketch.serialize import save_sketch
 from subsetsketch.setsystem import IntervalSystem, family_random, write_sets_file
 from subsetsketch.streams import gen_stream
-from subsetsketch.subset_l0 import L0UniversalSketch
+from subsetsketch.subset_l0 import L0UniversalSketch, detector_repetitions
 
 
 @pytest.fixture
@@ -224,14 +224,15 @@ _CHILD_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
 
 
 def _main_in_child(*argv: str) -> subprocess.CompletedProcess:
-    """`cli.main(argv)` in a child process whose address space is limited."""
+    """`cli.main(argv)` in a child process whose address space is limited
+    and whose run is cut after a minute."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_LIMIT, _CHILD_AS_LIMIT))
 
     src = os.path.dirname(os.path.dirname(subsetsketch.__file__))
     return subprocess.run([sys.executable, "-c", _CHILD_MAIN, src, *argv],
                           capture_output=True, text=True, preexec_fn=limit_memory,
-                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=60)
 
 
 def test_cli_imports_no_third_party_package_but_numpy():
@@ -245,6 +246,58 @@ def test_cli_imports_no_third_party_package_but_numpy():
     run = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == ["numpy", "subsetsketch"]
+
+
+def test_headerless_stream_model_is_inferred(tmp_path, sets_file, capsys):
+    # pairs without a header are a turnstile stream, which lp consumes
+    sets_path, _ = sets_file
+    pairs = _write_stream(tmp_path, "pairs.txt", ["3 -1.5", "5 2"])
+    headed = _write_stream(tmp_path, "headed.txt",
+                           ["# model=turnstile n=10", "3 -1.5", "5 2"])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for stream, out in ((pairs, a), (headed, b)):
+        assert main(["build", "--sketch", "lp-additive", "--n", "10",
+                     "--stream", stream, "--out", str(out)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # a kind that cannot consume turnstile reads them in its own model
+    weighted = _write_stream(tmp_path, "weighted.txt", ["3 2", "5 1"])
+    for sketch in ("l1", "priority"):
+        assert main(["build", "--sketch", sketch, "--stream", weighted,
+                     "--sets", sets_path, "--out", str(a)]) == 0
+    assert main(["build", "--sketch", "l1", "--stream", pairs,
+                 "--sets", sets_path, "--out", str(a)]) == 3
+    # --model still overrides the inferred model
+    assert main(["build", "--sketch", "lp-additive", "--n", "10", "--model",
+                 "insertion", "--stream", pairs, "--out", str(a)]) == 3
+
+
+def test_huge_interval_universe_exits_2(tmp_path, capsys):
+    # every sizing of a family over n = 10^12 is refused before it
+    # allocates or loops by n, in a child with limited address space
+    ins = _write_stream(tmp_path, "ins.txt", ["3", "5"])
+    ent = _write_stream(tmp_path, "ent.txt", ["# model=entrywise", "3 1.0", "5 2.0"])
+    out = str(tmp_path / "x.json")
+    huge = ["--intervals", "5", "--n", "1000000000000"]
+    for argv in (["hhdim", "--family", "intervals", "--n", "1000000000000", "--k", "5"],
+                 ["build", "--sketch", "priority", "--stream", ent, "--out", out, *huge],
+                 ["build", "--sketch", "l0", "--stream", ins, "--out", out, *huge],
+                 ["build", "--sketch", "l1", "--capacity", "1", "--stream", ins,
+                  "--out", out, *huge]):
+        run = _main_in_child(*argv)
+        assert run.returncode == 2, (argv, run.stderr)
+        assert "Traceback" not in run.stderr
+    assert not os.path.exists(out)
+    # a state file edited to the same universe, consistently
+    state = _interval_state(tmp_path, capsys)
+    system = IntervalSystem(10**12, 30, 300)
+    state["n"] = state["system"]["n"] = system.n
+    state["set_system_fingerprint"] = system.fingerprint()
+    state["state"]["detector_reps"] = detector_repetitions(system.n)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(state))
+    run = _main_in_child("query", str(path), "1..40")
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: state file") and "window cells" in run.stderr
 
 
 def test_entrywise_duplicate_is_model_error(tmp_path, sets_file):
@@ -353,7 +406,7 @@ def test_build_matches_library_build(tmp_path, sets_file):
                  "--seed", "5"]) == 0
 
     direct = L1UniversalSketch(system, 0.4, derive_seed(5, "build", "l1"))
-    for c, v in stream.updates:
+    for c, v in zip(stream.coords.tolist(), stream.values.tolist()):
         direct.update(c, int(v))
     loaded = load_sketch(str(out))
     for j in range(system.num_sets):
@@ -376,7 +429,7 @@ def test_l0_build_matches_per_item_updates(tmp_path, sets_file):
                  "--seed", "4"]) == 0
 
     direct = L0UniversalSketch(system, 0.3, derive_seed(4, "build", "l0"))
-    for c, _ in stream.updates:
+    for c in stream.coords.tolist():
         direct.update(c)
     ref = tmp_path / "direct.json"
     save_sketch(direct, str(ref))
@@ -417,7 +470,7 @@ def test_gen_command_round_trip(tmp_path, capsys):
     from subsetsketch.streams import read_stream_file
 
     s = read_stream_file(str(out))
-    assert s.n == 50 and len(s.updates) == 200
+    assert s.n == 50 and len(s.coords) == 200
 
     rc = main(["gen", "--kind", "uniform", "--n", "10", "--length", "5"])
     assert rc == 0

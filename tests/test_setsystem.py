@@ -240,6 +240,17 @@ def test_interval_materialize_guard():
         IntervalSystem(100000, 2).to_explicit()
 
 
+def test_interval_count_closed_form_matches_loop():
+    for n in range(1, 30):
+        for a in range(1, n + 3):
+            for b in [a, a + 1, n, n + 4]:
+                if b < a:
+                    continue
+                iv = IntervalSystem(n, a, b)
+                want = sum(n - length + 1 for length in range(a, min(b, n) + 1))
+                assert iv.num_sets == want, (n, a, b)
+
+
 def test_as_interval():
     assert as_interval(range(3, 6)) == (3, 5)
     assert as_interval([4, 2, 3]) == (2, 4)

@@ -73,15 +73,16 @@ def test_entrywise_duplicate_rejected():
 
 
 def test_parse_round_trip_with_header():
-    s = Stream("turnstile", 8, [(1, 2.0), (5, -1.0), (1, -2.0)])
+    s = Stream("turnstile", 8, [1, 5, 1], [2.0, -1.0, -2.0])
     again = parse_stream_lines(s.lines())
     assert again.model == "turnstile"
     assert again.n == 8
-    assert again.updates == s.updates
+    assert again.coords.tolist() == s.coords.tolist()
+    assert again.values.tolist() == s.values.tolist()
 
 
 def test_insertion_writer_expands_multiplicity():
-    s = Stream("insertion", 4, [(2, 3.0), (1, 1.0)])
+    s = Stream("insertion", 4, [2, 1], [3.0, 1.0])
     assert s.lines() == ["# model=insertion n=4", "2", "2", "2", "1"]
     v = replay(parse_stream_lines(s.lines()))
     assert v.value(2) == 3.0 and v.value(1) == 1.0
@@ -103,6 +104,8 @@ def test_parse_infers_model_and_n():
         ["2 abc"],  # bad value
         ["# model=quantum n=4", "1"],  # unknown model
         ["# model=insertion n=2", "5"],  # exceeds declared n
+        [str(2**63)],  # beyond int64, so in no universe
+        [str(10**30)],
     ],
 )
 def test_parse_rejects_malformed(lines):
@@ -136,8 +139,8 @@ def test_generators_deterministic():
         a = gen_stream(kind, params, seed=11)
         b = gen_stream(kind, params, seed=11)
         c = gen_stream(kind, params, seed=12)
-        assert a.updates == b.updates
-        assert a.updates != c.updates
+        assert a.lines() == b.lines()
+        assert a.lines() != c.lines()
 
 
 def test_unknown_kind():
@@ -152,7 +155,7 @@ def test_length_cap():
 
 def test_zipf_is_skewed():
     s = gen_stream("zipf", {"n": 128, "length": 5000, "theta": 1.5}, seed=3)
-    counts = np.bincount([c for c, _ in s.updates], minlength=129)
+    counts = np.bincount(s.coords, minlength=129)
     assert counts.max() > 0.2 * len(s)
 
 
@@ -162,7 +165,7 @@ def test_planted_subset_hits_interval():
         seed=5,
     )
     lo, hi = s.meta["interval"]
-    inside = sum(1 for c, _ in s.updates if lo <= c <= hi)
+    inside = int(((lo <= s.coords) & (s.coords <= hi)).sum())
     assert inside > 0.4 * len(s)
 
 
@@ -178,7 +181,7 @@ def test_adversarial_turnstile_leaves_planted_survivors():
         assert max(v.support()) == s.meta["pivot"]
         # a sign-blind consumer would see the deleted suffix as extra mass
         blind = ExactVector(s.n, "insertion")
-        for c, _ in s.updates:
+        for c in s.coords.tolist():
             blind.apply(c)
         dead = [c for c in blind.support() if lo <= c <= hi]
         assert len(dead) > len(live)
@@ -187,13 +190,54 @@ def test_adversarial_turnstile_leaves_planted_survivors():
 def test_adversarial_sliding_phases():
     s = gen_stream("adversarial-sliding", {"n": 64}, seed=2)
     half = s.meta["window"]
-    first = [c for c, _ in s.updates[:half]]
-    second = [c for c, _ in s.updates[half:]]
+    first = s.coords[:half].tolist()
+    second = s.coords[half:].tolist()
     assert sorted(first) == list(range(1, half + 1))
     assert sorted(second) == list(range(half + 1, 2 * half + 1))
 
 
-def test_replay_accepts_file_object_lines():
-    buf = io.StringIO("# model=turnstile n=4\n2 1.5\n2 -0.5\n")
-    s = parse_stream_lines(buf)
+@pytest.mark.parametrize("model", ["insertion", "turnstile", "entrywise"])
+def test_check_raises_exactly_when_replay_does(model):
+    rng = np.random.default_rng(17)
+    pool = np.array([-1.0, 0.0, 1.0, 2.0, 2.5, np.inf, np.nan])
+    raised = 0
+    for _ in range(400):
+        m = int(rng.integers(0, 6))
+        n = int(rng.integers(1, 5))  # few coordinates, so they repeat
+        s = Stream(model, n, rng.integers(1, n + 1, size=m),
+                   pool[rng.integers(0, pool.size, size=m)])
+        try:
+            replay(s)
+            want = None
+        except (ModelMismatch, DuplicateEntry, ValueError) as e:
+            want = type(e)
+        try:
+            s.check(model)
+            got = None
+        except (ModelMismatch, DuplicateEntry, ValueError) as e:
+            got = type(e)
+        assert got is want, (s.coords.tolist(), s.values.tolist())
+        raised += want is not None
+    assert 0 < raised < 400
+
+
+def test_check_names_the_first_offender():
+    s = Stream("insertion", 5, [1, 2, 3], [1.0, 2.5, -1.0])
+    with pytest.raises(ModelMismatch, match="got 2.5"):
+        s.check("insertion")
+    s = Stream("entrywise", 5, [4, 2, 4, 2], [1.0, 1.0, 3.0, 1.0])
+    with pytest.raises(DuplicateEntry, match="coordinate 4 delivered twice"):
+        s.check("entrywise")
+    s.check("turnstile")  # repeats are fine there
+
+
+def test_replay_accepts_file_object_lines(tmp_path):
+    text = "# model=turnstile n=4\n2 1.5\n2 -0.5\n"
+    s = parse_stream_lines(io.StringIO(text))
     assert replay(s).value(2) == 1.0
+    # an open file, a path object and a path string replay alike
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    assert replay(io.StringIO(text)).values == replay(path).values == \
+        replay(str(path)).values == replay(text).values == {2: 1.0}
+    assert replay("12\n3\n").values == {12: 1.0, 3: 1.0}  # lines, not characters

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from restore_oracle import bookkeeping
-from subsetsketch import subset_l0
+from subsetsketch import bounded_sampler, subset_l0
 from subsetsketch.bounded_sampler import BoundedSampler
 from subsetsketch.ensemble import MedianEnsemble
-from subsetsketch.errors import QueryNotInSystem
+from subsetsketch.errors import QueryNotInSystem, UniverseTooLarge
 from subsetsketch.l1_adapter import L1UniversalSketch
 from subsetsketch.serialize import _l0_slots
 from subsetsketch.setsystem import IntervalSystem, SetSystem, family_random
@@ -229,6 +229,21 @@ def test_sketch_interval_system_queries():
         sk.query(range(1, 75))
 
 
+def test_interval_sketch_cell_cap(monkeypatch):
+    # the cap counts every sampler the sketch builds, before building any
+    system = IntervalSystem(300, 40)
+    cells = len(L0UniversalSketch(system, 0.4, seed=1).samplers) * 301
+    monkeypatch.setattr(subset_l0, "MAX_INTERVAL_CELLS", cells)
+    L0UniversalSketch(system, 0.4, seed=1)
+    monkeypatch.setattr(subset_l0, "MAX_INTERVAL_CELLS", cells - 1)
+    with pytest.raises(UniverseTooLarge, match="window cells"):
+        L0UniversalSketch(system, 0.4, seed=1)
+    with pytest.raises(UniverseTooLarge):  # the expanded universe's samplers too
+        L1UniversalSketch(system, 0.4, seed=1, stream_capacity=1)
+    # explicit systems size nothing by n
+    L0UniversalSketch(SetSystem(300, [range(1, 41)]), 0.4, seed=1)
+
+
 def test_update_one_vs_many_equivalence(monkeypatch):
     # from one sampler per pool hash call (on a shorter stream: one-item
     # updates then cost a hash call per sampler), through the default
@@ -244,11 +259,11 @@ def test_update_one_vs_many_equivalence(monkeypatch):
         (lambda: L1UniversalSketch(explicit, 0.4, seed=42, stream_capacity=5000),
          explicit.coords_of(3)),
     ]
-    runs = [(1, 200), (subset_l0._POOL_CHUNK_CELLS, 900), (1 << 30, 900)]
+    runs = [(1, 200), (bounded_sampler._POOL_CHUNK_CELLS, 900), (1 << 30, 900)]
     for make, q in cases:
         seen = {}
         for cells, m in runs:
-            monkeypatch.setattr(subset_l0, "_POOL_CHUNK_CELLS", cells)
+            monkeypatch.setattr(bounded_sampler, "_POOL_CHUNK_CELLS", cells)
             a, b = make(), make()
             if isinstance(a, L1UniversalSketch):
                 for c, v in zip(stream[:m].tolist(), values[:m].tolist()):

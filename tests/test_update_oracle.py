@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from restore_oracle import bookkeeping, update_per_coordinate
-from subsetsketch import bounded_sampler, subset_l0
+from subsetsketch import bounded_sampler
 from subsetsketch.bounded_sampler import BoundedSampler
 from subsetsketch.cli import main
 from subsetsketch.l1_adapter import L1UniversalSketch
@@ -173,7 +173,7 @@ def test_whole_sketches_match(monkeypatch, make):
                        (one_item, slice(0, 80))):
         feed(bulk, part)
         with monkeypatch.context() as m:
-            m.setattr(subset_l0._SamplerPool, "update_many", _per_sampler)
+            m.setattr(bounded_sampler._SamplerPool, "update_many", _per_sampler)
             feed(oracle, part)
         for a, b in zip(_samplers(bulk), _samplers(oracle)):
             assert bookkeeping(a) == bookkeeping(b)
