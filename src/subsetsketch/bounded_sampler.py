@@ -32,15 +32,14 @@ Two backends:
   the windows at or below it answers that for a whole run of origins, both
   after a live insertion and when a restored support is checked.
 
-A `project` hook lets a caller run the sampler over a larger virtual
-universe whose coordinates map many-to-one onto system coordinates; counts
-and neededness are computed on the projected side, H stores virtual
-coordinates.  The hook is arithmetic: it maps an int and, elementwise, an
-int64 array.  It must map ascending blocks of virtual coordinates onto
-ascending origins (as `l1_adapter`'s block map does), so that the smallest
-kept coordinate over a set of origins lies over the smallest of them.  Both
-backends evict alike: among the origins an insertion can have made
-evictable, repeatedly the smallest kept coordinate of the smallest
+A `block` greater than 1 runs the sampler over a virtual universe of
+`system.n * block` coordinates, in which system coordinate o owns the
+`block` consecutive ones from (o - 1) * block + 1 (`origin`, the layout of
+`l1_adapter`); counts and neededness are computed over origins, H holds
+virtual coordinates.  Ascending blocks lie over ascending origins, so the
+smallest kept coordinate over a set of origins lies over the smallest of
+them.  Both backends evict alike: among the origins an insertion can have
+made evictable, repeatedly the smallest kept coordinate of the smallest
 evictable origin.
 
 Counts only grow between evictions, and an arrival adds at most 1 to any
@@ -83,6 +82,12 @@ def checked_coords(coords, universe: int) -> np.ndarray:
     if len(bad):
         raise ValueError(f"coordinate {bad[0]} outside universe [1, {universe}]")
     return arr
+
+
+def origin(coords, block: int):
+    """The system coordinate owning virtual coordinate `coords` (an int, or
+    elementwise an int64 array) when each owns `block` consecutive ones."""
+    return coords if block == 1 else (coords - 1) // block + 1
 
 
 # xi decisions (samplers x batch items) that one hash call of a pool makes
@@ -130,8 +135,8 @@ class _SamplerPool:
 
 class _PoolFed:
     """A layer fed through one `_SamplerPool` over its `samplers` (set by
-    the subclass, with `universe`), packed on first use: `update_many` is
-    the pool's, and `update(c)` is `update_many((c,))`."""
+    the subclass, with `universe`), packed on first use (a `BoundedSampler`
+    packs itself per call): `update(c)` is `update_many((c,))`."""
 
     @cached_property
     def pool(self) -> _SamplerPool:
@@ -145,6 +150,10 @@ class _PoolFed:
 
 
 class BoundedSampler(_PoolFed):
+    """Keeps the sampled coordinates that a member set of `system` still
+    needs, at most `budget` of them per set; with `block` > 1 over the
+    virtual universe of `system.n * block` coordinates (module docstring)."""
+
     def __init__(
         self,
         system,
@@ -152,10 +161,11 @@ class BoundedSampler(_PoolFed):
         rate: float,
         seed: int,
         *,
-        universe: int | None = None,
-        project=None,
+        block: int = 1,
         vote_only: bool = False,
     ) -> None:
+        if type(block) is not int or block < 1:
+            raise ValueError(f"block must be a positive integer, got {block!r}")
         if budget < 1:
             raise ValueError("budget must be >= 1")
         if not 0.0 < rate <= 1.0:
@@ -166,8 +176,8 @@ class BoundedSampler(_PoolFed):
         self.budget = budget
         self.rate = rate
         self.seed = seed
-        self.universe = system.n if universe is None else universe
-        self.project = project
+        self.block = block
+        self.universe = system.n * block
         # vote_only: the caller promises to only ever test intersection counts
         # against thresholds at most the budget.  Eviction preconditions keep a
         # set's count from ever dropping below the budget once reached, so an
@@ -180,10 +190,9 @@ class BoundedSampler(_PoolFed):
         self._frozen = False
         self._hash = PairwiseHash(seed, n_max=self.universe)
         self._threshold = bernoulli_threshold(rate)
-        self._h: set[int] = set()
 
     def _fresh_state(self):
-        projected = self.project is not None
+        projected = self.block != 1
         if isinstance(self.system, IntervalSystem):
             return _IntervalState(self.system, self.budget, projected=projected,
                                   track_saturation=self.vote_only)
@@ -207,24 +216,23 @@ class BoundedSampler(_PoolFed):
         return self._hash.a, self._hash.b, self._threshold
 
     @property
-    def samplers(self) -> list[BoundedSampler]:  # fed on its own, a pool of one
-        return [self]
+    def pool(self) -> _SamplerPool:
+        # fed on its own, a pool of one, built per call: cached, the pool
+        # would hold the sampler that holds it, a reference cycle
+        return _SamplerPool((self,), self.universe)
 
     # -- stream --------------------------------------------------------------
 
     def insert_presampled(self, coord: int) -> None:
         """Insert a coordinate whose sampling decision was made externally."""
-        if self._frozen or coord in self._h:
+        if self._frozen or coord in self._impl.held:
             return
-        orig = coord if self.project is None else self.project(coord)
+        orig = origin(coord, self.block)
         if not self._impl.has_sets(orig):
             return
         if self.vote_only and self._impl.saturated_for(orig):
             return
-        self._h.add(coord)
         self._impl.insert(coord, orig)
-        for victim in self._impl.drain_evictions():
-            self._h.discard(victim)
         if self.vote_only and self._impl.fully_saturated:
             self._frozen = True
 
@@ -254,10 +262,9 @@ class BoundedSampler(_PoolFed):
         if room < _BULK_MIN_ROOM:
             return 0
         uniq, first = np.unique(arr, return_index=True)
-        origs = uniq if self.project is None else self.project(uniq)
+        origs = origin(uniq, self.block)
         fresh = self._impl.touches_sets(origs)
-        if self._h:
-            h = self._h
+        if h := self._impl.held:
             fresh &= np.fromiter((c not in h for c in uniq.tolist()),
                                  dtype=bool, count=uniq.size)
         order = np.argsort(first[fresh])
@@ -267,7 +274,6 @@ class BoundedSampler(_PoolFed):
         while room >= _BULK_MIN_ROOM and done < coords.size:
             part = slice(done, done + room)
             self._impl.add_many(coords[part], origs[part])
-            self._h.update(coords[part].tolist())
             done = min(done + room, coords.size)
             room = self.budget - self._impl.max_count()
         if self.vote_only and self._impl.fully_saturated:
@@ -288,7 +294,7 @@ class BoundedSampler(_PoolFed):
         of which a saved sampler can hold.  A rejected snapshot leaves the
         sampler fresh.
         """
-        if self._h:
+        if self._impl.held:
             raise ValueError("restore requires a fresh sampler")
         coords = list(coords)
         if not set(map(type, coords)) <= {int}:
@@ -308,7 +314,7 @@ class BoundedSampler(_PoolFed):
         xi = _xi(np.array([self.sampling_coefficients], dtype=np.uint64), arr)[0]
         if not xi.all():
             raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
-        origs = arr if self.project is None else self.project(arr)
+        origs = origin(arr, self.block)
         hit = self._impl.touches_sets(origs)
         if not hit.all():
             raise ValueError(f"snapshot coordinate {arr[~hit][0]} touches no member set")
@@ -317,7 +323,6 @@ class BoundedSampler(_PoolFed):
         except ValueError:
             self._impl = self._fresh_state()
             raise
-        self._h = set(coords)
         if self.vote_only and self._impl.fully_saturated:
             self._frozen = True
 
@@ -325,36 +330,43 @@ class BoundedSampler(_PoolFed):
 
     @property
     def size(self) -> int:
-        return len(self._h)
+        return len(self._impl.held)
 
     def support(self) -> list[int]:
-        return sorted(self._h)
+        return sorted(self._impl.held)
 
     def __contains__(self, coord: int) -> bool:
-        return coord in self._h
+        return coord in self._impl.held
 
     def intersection_count(self, q) -> int:
-        """|H . s| for a coordinate collection q (projected side)."""
+        """|H . s| for a coordinate collection q of origins."""
         return self._impl.intersection_count(q)
 
 
 class _OriginState:
-    """What both backends share: per origin, `per_orig` counts the kept
-    coordinates; evictions queue in `_evicted` until drained.
+    """What both backends share: `held` is H, the kept coordinates, and per
+    origin `per_orig` counts them.
 
     An eviction removes the smallest kept coordinate of the smallest
-    candidate origin.  Unprojected, that coordinate is the origin itself;
-    projected, `heaps` holds each origin's kept virtual coordinates as a
-    `heapq` min-heap and the coordinate is its root.  `heaps` is None when
-    the sampler is not projected."""
+    candidate origin.  With a block of 1, that coordinate is the origin
+    itself; projected (a larger block), `heaps` holds each origin's kept
+    virtual coordinates as a `heapq` min-heap and the coordinate is its
+    root.  `heaps` is None when the sampler is not projected."""
 
     def __init__(self, projected: bool) -> None:
+        self.held: set[int] = set()
         self.heaps: dict[int, list[int]] | None = {} if projected else None
-        self._evicted: list[int] = []
+
+    def _keep(self, coord: int, orig: int) -> None:
+        self.held.add(coord)
+        if self.heaps is not None:
+            heapq.heappush(self.heaps.setdefault(orig, []), coord)
 
     def _hold(self, coords: np.ndarray, origs: np.ndarray) -> None:
+        cs = coords.tolist()
+        self.held.update(cs)
         if self.heaps is not None:
-            for c, o in zip(coords.tolist(), origs.tolist()):
+            for c, o in zip(cs, origs.tolist()):
                 heapq.heappush(self.heaps.setdefault(o, []), c)
 
     def _victim(self, origs: np.ndarray) -> tuple[int, int]:
@@ -365,21 +377,16 @@ class _OriginState:
         return (o if self.heaps is None else self.heaps[o][0]), i
 
     def _forget(self, victim: int, vorig: int) -> None:
+        self.held.remove(victim)
         if self.heaps is not None:
             heap = self.heaps[vorig]
             heapq.heappop(heap)
             if not heap:
                 del self.heaps[vorig]
-        self._evicted.append(victim)
-
-    def drain_evictions(self):
-        out = self._evicted
-        self._evicted = []
-        return out
 
 
 class _ExplicitState(_OriginState):
-    """Set-count backend.  `counts[j]` is |H . s_j| (projected side); the
+    """Set-count backend.  `counts[j]` is |H . s_j| (over origins); the
     per-origin arrays are indexed by a coordinate's position in
     `SetSystem.reverse_csr`, so their size follows the covered coordinates.
     `slack` counts, for every covered coordinate, its sets at or below the
@@ -412,8 +419,7 @@ class _ExplicitState(_OriginState):
         u = self.budget
         k = self._pos[orig]
         self.per_orig[k] += 1
-        if self.heaps is not None:
-            heapq.heappush(self.heaps.setdefault(orig, []), coord)
+        self._keep(coord, orig)
         counts = self.counts
         crossed = []
         for j in self.system.ids_containing(orig):
@@ -512,7 +518,7 @@ class _ExplicitState(_OriginState):
 
 
 class _IntervalState(_OriginState):
-    """Window-count backend; `w[t]` counts kept coordinates whose projection
+    """Window-count backend; `w[t]` counts kept coordinates whose origin
     lies in the length-L window starting at t+1, L the minimum member length."""
 
     def __init__(self, system: IntervalSystem, budget: int, *,
@@ -558,8 +564,7 @@ class _IntervalState(_OriginState):
         if self._track:
             self._sat_windows += int(np.count_nonzero(self.w[lo : hi + 1] == u))
         self.per_orig[orig] += 1
-        if self.heaps is not None:
-            heapq.heappush(self.heaps.setdefault(orig, []), coord)
+        self._keep(coord, orig)
         sl = self.w[lo : hi + 1]
         if int(sl.min()) > u or bool((sl == u + 1).any()):
             self._evict_region(lo, hi)

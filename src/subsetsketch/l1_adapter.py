@@ -5,7 +5,7 @@ unit of value overall, landing on coordinate i, occupies the fresh virtual
 coordinate (i - 1) * capacity + t inside coordinate i's private block of the
 expanded universe.  Virtual coordinates are never reused, so the expanded
 support inside a member set's blocks equals the total value the set has
-received, and one support sketch over the expanded universe answers every
+received, and one support sketch with `block` = capacity answers every
 sum query.  Expansion cannot create new heavy-hitter structure: coordinates
 of one block belong to exactly the same expanded sets, so any permutation
 submatrix over virtual coordinates projects to one over the originals.
@@ -26,11 +26,6 @@ _CHUNK_UNITS = 1 << 16  # virtual coordinates encoded per support-sketch batch
 def encode_arrival(coord: int, tick: int, capacity: int) -> int:
     """Virtual coordinate for stream unit `tick` (1-based) landing on `coord`."""
     return (coord - 1) * capacity + tick
-
-
-def decode_origin(virtual: int, capacity: int) -> int:
-    """Original coordinate owning a virtual coordinate's block."""
-    return (virtual - 1) // capacity + 1
 
 
 class L1UniversalSketch:
@@ -61,16 +56,8 @@ class L1UniversalSketch:
         self.capacity = capacity
         self.universe = universe
         self.clock = 0  # total value consumed so far
-        self.inner = L0UniversalSketch(
-            system,
-            epsilon,
-            derive_seed(seed, "expanded"),
-            universe=universe,
-            project=self._origin,
-        )
-
-    def _origin(self, virtual: int) -> int:
-        return decode_origin(virtual, self.capacity)
+        self.inner = L0UniversalSketch(system, epsilon, derive_seed(seed, "expanded"),
+                                       block=capacity)
 
     def update(self, coord: int, value: int = 1) -> None:
         """Add `value` units to `coord`.  Zero is a no-op; negatives refuse."""

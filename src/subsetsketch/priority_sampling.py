@@ -56,7 +56,6 @@ class PrioritySketch:
         self._heaps: list[list[tuple[float, int, int, float]]] = [
             [] for _ in range(system.num_sets)
         ]
-        self._refs: dict[int, int] = {}
         self._seen: set[int] = set()
 
     def uniform_for(self, coord: int) -> float:
@@ -89,18 +88,8 @@ class PrioritySketch:
             heap = self._heaps[j]
             if len(heap) <= self.k:
                 heapq.heappush(heap, entry)
-                self._refs[coord] = self._refs.get(coord, 0) + 1
             elif entry[:2] > heap[0][:2]:
-                displaced = heapq.heapreplace(heap, entry)
-                self._refs[coord] = self._refs.get(coord, 0) + 1
-                self._unref(displaced[2])
-
-    def _unref(self, coord: int) -> None:
-        r = self._refs[coord] - 1
-        if r:
-            self._refs[coord] = r
-        else:
-            del self._refs[coord]
+                heapq.heapreplace(heap, entry)
 
     # -- queries ---------------------------------------------------------------
 
@@ -130,7 +119,8 @@ class PrioritySketch:
 
     @property
     def size(self) -> int:
-        return len(self._refs)
+        return len(self.stored_coordinates())
 
     def stored_coordinates(self) -> list[int]:
-        return sorted(self._refs)
+        """The coordinates some heap holds; each is stored once."""
+        return sorted({e[2] for heap in self._heaps for e in heap})

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import base64
 import json
-from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -192,8 +191,8 @@ def _header(kind, *, n, epsilon=None, p_norm=None, m_bar=None, seed,
 
 
 def _state_l0(sk: L0UniversalSketch) -> dict:
-    if sk.ladder[0].project is not None or sk.universe != sk.system.n:
-        raise ValueError("projected sketches are saved via their owning reduction")
+    if sk.block != 1:
+        raise ValueError("a sketch over blocks is saved via its owning reduction")
     out = _header("l0", n=sk.system.n, epsilon=sk.epsilon, p_norm=0.0,
                   seed=sk.seed, fingerprint=sk.system.fingerprint())
     out["system"] = system_spec(sk.system)
@@ -292,19 +291,18 @@ def _load_priority(d: dict) -> PrioritySketch:
                    map(float, chain.from_iterable(ws for _, ws in pairs))))
     weight = dict(held)
     if len(weight) != len(held):
-        twice = min(c for c, r in Counter(c for c, _ in held).items() if r > 1)
+        twice = min(c for c, w in held if w != weight[c])
         raise ValueError(f"heap coordinate {twice} carries two different weights")
     entry = {c: (w / sk.uniform_for(c), -c, c, w) for c, w in weight.items()}
     for j, (cs, _) in enumerate(pairs):
         # the saved list order already satisfies the heap invariant; rebuild
         # it verbatim so later displacements replay identically
         sk._heaps[j] = list(map(entry.__getitem__, cs))
-    sk._refs = dict(Counter(chain.from_iterable(cs for cs, _ in pairs)))
     sk._seen = set(seen)
     if seen and (min(seen) < 1 or max(seen) > sk.system.n):
         raise ValueError(f"field 'seen' names a coordinate outside [1, {sk.system.n}]")
-    if not sk._seen.issuperset(sk._refs):
-        missing = min(sk._refs.keys() - sk._seen)
+    if not sk._seen.issuperset(weight):
+        missing = min(weight.keys() - sk._seen)
         raise ValueError(f"heap coordinate {missing} is missing from 'seen'")
     return sk
 

@@ -159,6 +159,8 @@ class Stream:
             raise ValueError(f"{model} value must be finite, got {self.values[bad[0]]}")
 
     def lines(self) -> list[str]:
+        """The stream file's lines; raises as `check(model)` would."""
+        self.check(self.model)
         out = [f"# model={self.model} n={self.n}"]
         rows = zip(self.coords.tolist(), self.values.tolist())
         if self.model == "insertion":
@@ -169,8 +171,9 @@ class Stream:
         return out
 
     def write(self, path) -> None:
+        text = "\n".join(self.lines()) + "\n"  # refuses before opening the file
         with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.lines()) + "\n")
+            f.write(text)
 
 
 def _parse_header(line: str) -> tuple[str | None, int | None]:
@@ -258,6 +261,14 @@ def replay(stream) -> ExactVector:
 # generators
 
 
+def _fraction(params: dict, name: str, default: float) -> float:
+    """params[name] (else `default`) as a float in [0, 1], or ValueError."""
+    x = float(params.get(name, default))
+    if not 0.0 <= x <= 1.0:  # refuses NaN too
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
+    return x
+
+
 def _check_length(m: int) -> int:
     m = int(m)
     if m < 0:
@@ -293,6 +304,8 @@ def _gen_zipf(params: dict, rng) -> Stream:
     n = int(params.get("n", 1024))
     m = _check_length(params.get("length", n))
     theta = float(params.get("theta", 1.1))
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     weights = np.arange(1, n + 1, dtype=np.float64) ** -theta
     weights /= weights.sum()
     ranks = rng.choice(n, size=m, p=weights)
@@ -306,7 +319,7 @@ def _gen_planted(params: dict, rng) -> Stream:
     m = _check_length(params.get("length", n))
     lo = int(params.get("lo", 1))
     hi = int(params.get("hi", max(1, n // 4)))
-    inside = float(params.get("inside", 0.5))
+    inside = _fraction(params, "inside", 0.5)
     if not 1 <= lo <= hi <= n:
         raise ValueError("need 1 <= lo <= hi <= n")
     pick = rng.random(m) < inside
@@ -330,7 +343,7 @@ def _gen_adv_turnstile(params: dict, rng) -> Stream:
     n = int(params.get("n", 1024))
     if n < 4 or n % 2:
         raise ValueError("n must be even and >= 4")
-    density = float(params.get("density", 0.5))
+    density = _fraction(params, "density", 0.5)
     half = n // 2
     ones = np.nonzero(rng.random(half) < density)[0] + 1
     if ones.size < 4:

@@ -86,7 +86,9 @@ class ThresholdDetector(_PoolFed):
 
     Callers managing several rate-1 detectors can pass one `shared_exact`
     sampler for all of them to alias; the caller feeds it, and `update`
-    here skips it.
+    here skips it.  `block` is the samplers' (`BoundedSampler`): the
+    detector counts over the virtual universe of `system.n * block`
+    coordinates.
     """
 
     def __init__(
@@ -95,8 +97,7 @@ class ThresholdDetector(_PoolFed):
         threshold: int,
         seed: int,
         *,
-        universe: int | None = None,
-        project=None,
+        block: int = 1,
         shared_exact: BoundedSampler | None = None,
     ) -> None:
         threshold = int(threshold)
@@ -105,15 +106,15 @@ class ThresholdDetector(_PoolFed):
         self.system = system
         self.threshold = threshold
         self.rate = min(1.0, DETECTOR_BUDGET / threshold)
-        self.universe = universe if universe is not None else system.n
+        self.universe = system.n * block
         self.reps = detector_repetitions(self.universe)
         if self.rate >= 1.0 and shared_exact is not None:
             self.instances = [shared_exact]
         else:
             self.instances = [
                 BoundedSampler(system, DETECTOR_BUDGET, self.rate,
-                               derive_seed(seed, "copy", i), universe=universe,
-                               project=project, vote_only=True)
+                               derive_seed(seed, "copy", i), block=block,
+                               vote_only=True)
                 for i in range(self.reps if self.rate < 1.0 else 1)
             ]
         # the samplers this detector feeds: not a caller's shared one
@@ -143,19 +144,13 @@ class CoarseL0Estimator(_PoolFed):
     exactly, so for the counts they decide (below 64) truth < z <= 8 *
     truth, with z = 8 * truth exactly at a power of two.  Sampled banks vote
     with noise; there z has been seen up to about 8.3 * truth, just below a
-    power of two.
+    power of two.  With `block` > 1 the count is over the virtual universe
+    of `system.n * block` coordinates (`BoundedSampler`).
     """
 
-    def __init__(
-        self,
-        system,
-        seed: int,
-        *,
-        universe: int | None = None,
-        project=None,
-    ) -> None:
+    def __init__(self, system, seed: int, *, block: int = 1) -> None:
         self.system = system
-        self.universe = universe if universe is not None else system.n
+        self.universe = system.n * block
         thresholds = coarse_thresholds(self.universe)
         self.levels = len(thresholds) - 1
         self.exact = BoundedSampler(
@@ -163,8 +158,7 @@ class CoarseL0Estimator(_PoolFed):
             DETECTOR_BUDGET,
             1.0,
             derive_seed(seed, "shared-exact"),
-            universe=universe,
-            project=project,
+            block=block,
             vote_only=True,
         )
         self.banks = [
@@ -172,8 +166,7 @@ class CoarseL0Estimator(_PoolFed):
                 system,
                 threshold,
                 derive_seed(seed, "bank", j),
-                universe=universe,
-                project=project,
+                block=block,
                 shared_exact=self.exact,
             )
             for j, threshold in enumerate(thresholds)
@@ -205,24 +198,19 @@ class L0UniversalSketch(_PoolFed):
     count sits near 100/eps^2; that level's intersection count, divided by
     its rate, is the estimate.  Per-level budget is ceil(400/eps^2), so
     space scales with the system's heavy-hitter dimension rather than the
-    universe.
+    universe.  With `block` > 1 every sampler runs over the virtual universe
+    of `system.n * block` coordinates, each system coordinate owning a block
+    of them (`BoundedSampler`, `l1_adapter`).
     """
 
-    def __init__(
-        self,
-        system,
-        epsilon: float,
-        seed: int,
-        *,
-        universe: int | None = None,
-        project=None,
-    ) -> None:
+    def __init__(self, system, epsilon: float, seed: int, *, block: int = 1) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         self.system = system
         self.epsilon = float(epsilon)
         self.seed = seed
-        self.universe = universe if universe is not None else system.n
+        self.block = block
+        self.universe = system.n * block
         try:
             self.budget = math.ceil(400 / self.epsilon**2)
         except (ZeroDivisionError, OverflowError):  # eps^2 underflows
@@ -237,21 +225,10 @@ class L0UniversalSketch(_PoolFed):
                     f"{samplers} interval samplers over n = {system.n} need "
                     f"{samplers * (system.n + 1)} window cells, above the cap "
                     f"of {MAX_INTERVAL_CELLS}")
-        self.coarse = CoarseL0Estimator(
-            system,
-            derive_seed(seed, "coarse"),
-            universe=universe,
-            project=project,
-        )
+        self.coarse = CoarseL0Estimator(system, derive_seed(seed, "coarse"), block=block)
         self.ladder = [
-            BoundedSampler(
-                system,
-                self.budget,
-                2.0 ** (1 - i),
-                derive_seed(seed, "ladder", i),
-                universe=universe,
-                project=project,
-            )
+            BoundedSampler(system, self.budget, 2.0 ** (1 - i),
+                           derive_seed(seed, "ladder", i), block=block)
             for i in range(1, self.levels + 1)
         ]
         self.samplers = [*self.coarse.samplers, *self.ladder]

@@ -4,6 +4,8 @@ for `BoundedSampler.update_many`."""
 
 import numpy as np
 
+from subsetsketch.bounded_sampler import origin
+
 
 def update_per_coordinate(sampler, coords) -> None:
     """`update_many` one `insert_presampled` per xi-sampled arrival."""
@@ -24,29 +26,30 @@ def replay_restore(sampler, coords) -> None:
     """Insert a settled snapshot one coordinate at a time, ascending,
     bypassing sampling and saturation skips; reject it if anything would
     be evicted."""
-    if sampler._h:
+    held = sampler._impl.held
+    if held:
         raise ValueError("restore requires a fresh sampler")
-    for coord in sorted(int(c) for c in coords):
-        orig = coord if sampler.project is None else sampler.project(coord)
+    snapshot = sorted(int(c) for c in coords)
+    for coord in snapshot:
+        orig = origin(coord, sampler.block)
         if not sampler._impl.has_sets(orig):
             raise ValueError(f"snapshot coordinate {coord} touches no member set")
-        sampler._h.add(coord)
         sampler._impl.insert(coord, orig)
-    if sampler._impl.drain_evictions():
+    if len(held) < len(snapshot):  # an insertion evicted
         raise ValueError("snapshot is not a settled support")
     if sampler.vote_only and sampler._impl.fully_saturated:
         sampler._frozen = True
 
 
-_EXPLICIT = ("counts", "slack", "per_orig", "heaps", "_sat", "_evicted")
-_INTERVAL = ("w", "per_orig", "heaps", "_sat_windows", "_evicted")
+_EXPLICIT = ("held", "counts", "slack", "per_orig", "heaps", "_sat")
+_INTERVAL = ("held", "w", "per_orig", "heaps", "_sat_windows")
 
 
 def bookkeeping(sampler) -> dict:
     """Everything a restore sets, as plain comparable values."""
     impl = sampler._impl
     names = _INTERVAL if hasattr(impl, "w") else _EXPLICIT
-    out = {"_h": sampler._h, "_frozen": sampler._frozen}
+    out = {"_frozen": sampler._frozen}
     for name in names:
         v = getattr(impl, name)
         if name == "heaps" and v is not None:

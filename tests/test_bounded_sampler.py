@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,10 +190,7 @@ def test_projection_matches_naive_on_expanded_system():
     for budget in [1, 2, 3]:
         for rate in [1.0, 0.5]:
             seed = budget * 10 + int(rate * 2)
-            real = BoundedSampler(
-                orig, budget, rate, seed,
-                universe=n * m, project=lambda e: (e - 1) // m + 1,
-            )
+            real = BoundedSampler(orig, budget, rate, seed, block=m)
             ref = NaiveSampler(expanded, budget, rate, seed, universe=n * m)
             for x in rng.integers(1, n * m + 1, size=200):
                 real.update(int(x))
@@ -219,8 +219,7 @@ def test_projected_batches_match_naive_with_bulk_and_evictions(monkeypatch):
     for budget in (16, 40):
         for rate in (1.0, 0.7):
             seed = budget + int(rate * 10)
-            real = BoundedSampler(orig, budget, rate, seed, universe=n * m,
-                                  project=lambda e: (e - 1) // m + 1)
+            real = BoundedSampler(orig, budget, rate, seed, block=m)
             ref = NaiveSampler(expanded, budget, rate, seed, universe=n * m)
             for _ in range(30):
                 batch = rng.integers(1, n * m + 1, size=int(rng.integers(1, 60)))
@@ -244,9 +243,7 @@ def test_projection_on_intervals_matches_expanded_naive():
         ],
     )
     rng = np.random.default_rng(21)
-    real = BoundedSampler(
-        fam, 2, 1.0, 5, universe=n * m, project=lambda e: (e - 1) // m + 1
-    )
+    real = BoundedSampler(fam, 2, 1.0, 5, block=m)
     ref = NaiveSampler(expanded, 2, 1.0, 5, universe=n * m)
     for x in rng.integers(1, n * m + 1, size=250):
         real.update(int(x))
@@ -278,11 +275,9 @@ def test_heaps_hold_the_support_grouped_by_origin(monkeypatch, backend, m):
     monkeypatch.setattr(state, "_forget", lambda self, v, o: (
         evicted.append(v), forget(self, v, o))[1])
     universe = _ORIGINS * (m or 1)
-    project = None if m is None else (lambda e: (e - 1) // m + 1)
     rng = np.random.default_rng(41)
     for budget, rate in ((16, 1.0), (24, 0.7)):
-        s = BoundedSampler(system, budget, rate, budget, universe=universe,
-                           project=project)
+        s = BoundedSampler(system, budget, rate, budget, block=m or 1)
         for _ in range(30):
             s.update_many(rng.integers(1, universe + 1, size=int(rng.integers(1, 60))))
             if m is None:
@@ -290,7 +285,7 @@ def test_heaps_hold_the_support_grouped_by_origin(monkeypatch, backend, m):
                 continue
             grouped: dict[int, list[int]] = {}
             for c in s.support():
-                grouped.setdefault(project(c), []).append(c)
+                grouped.setdefault((c - 1) // m + 1, []).append(c)
             assert {o: sorted(h) for o, h in s._impl.heaps.items()} == grouped
     assert bulk and len(evicted) >= 10
 
@@ -365,6 +360,28 @@ def test_validation():
         s.update(10**30)
     with pytest.raises(TypeError):
         BoundedSampler([[1, 2]], 1, 1.0, 1)
+    for block in (0, -2, 2.0, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="block"):
+            BoundedSampler(sys_, 1, 1.0, 1, block=block)
+
+
+@pytest.mark.parametrize("system", [SetSystem(8, [[1, 2, 3], [3, 4]]), IntervalSystem(8, 3)],
+                         ids=["explicit", "interval"])
+def test_standalone_sampler_is_freed_without_the_cycle_collector(system):
+    # fed on its own, a sampler is its own pool of one; that pool must not
+    # keep the sampler alive once the caller drops it
+    s = BoundedSampler(system, 2, 1.0, 1)
+    s.update(3)
+    s.update_many([1, 2, 4, 5])
+    ref = weakref.ref(s)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del s
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_vote_only_clamped_counts_match_canonical_explicit():

@@ -477,6 +477,26 @@ def test_gen_command_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("# model=insertion n=10")
 
 
+@pytest.mark.parametrize("kind,flag,value", [
+    ("planted-subset", "--inside", "nan"),
+    ("planted-subset", "--inside", "7"),
+    ("planted-subset", "--inside", "-3"),
+    ("adversarial-turnstile", "--density", "nan"),
+    ("adversarial-turnstile", "--density", "3"),
+    ("adversarial-turnstile", "--density", "-0.5"),
+    ("zipf", "--theta", "inf"),
+    ("zipf", "--theta", "-inf"),
+    ("zipf", "--theta", "nan"),
+])
+def test_gen_refuses_bad_parameters(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--kind", kind, "--n", "64", f"{flag}={value}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_selfcheck(capsys):
     rc = main(["selfcheck"])
     out = capsys.readouterr().out

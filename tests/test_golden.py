@@ -1,7 +1,9 @@
 """Byte-level goldens: `gen` output and CLI-built state files.
 
-The digests were recorded before streams became columnar; any change to
-the bytes `gen` writes or `build` saves shows here first.
+The digests were recorded before streams became columnar (the `priority`,
+`lp-additive` and `l1-intervals` states later, one per remaining kind and
+backend); any change to the bytes `gen` writes or `build` saves shows here
+first.
 """
 
 import hashlib
@@ -38,6 +40,12 @@ STATE_SHA256 = {
         "2b18648330dca3fbdb58a7ab23619e7e67f6cf5f33d64660ef0669b07b059459",
     "l1-sets":
         "a4d4af95151d74ebef345e20c3b10780ff509c707b932168de77d7dec269bfe3",
+    "l1-intervals":
+        "9211dc6a325111f99158dae9a5c81d248e19548f9ca8ed4efe614a3399d705a4",
+    "priority-sets":
+        "b2d3ab4bb1f13b14669e4f5a030fd1ae334ca4b8ad569f60e4de85b15e5b1d90",
+    "lp-additive":
+        "d4bcb9038d3d276140b8a154a053d1763d7a3fd68420216820711c6d38571d68",
 }
 
 
@@ -53,21 +61,39 @@ def test_gen_output_bytes(tmp_path, kind):
     assert _sha256(out) == GEN_SHA256[kind]
 
 
+def _write_rows(path, header: str, coords, values) -> None:
+    path.write_text(header + "\n" + "".join(f"{c} {v}\n" for c, v in zip(coords, values)))
+
+
 def _build(tmp_path, capsys, case: str):
     stream, out = tmp_path / "s.txt", tmp_path / f"{case}.json"
+    sets = tmp_path / "sets.txt"
+    write_sets_file(str(sets), family_random(50, 12, 0.3, seed=4))
+    rng = np.random.default_rng(9)
     if case == "l0-intervals":
         assert main(["gen", "--kind", "zipf", "--n", "200", "--length", "900",
                      "--seed", "2", "--out", str(stream)]) == 0
         argv = ["--sketch", "l0", "--intervals", "25", "--n", "200", "--eps", "0.4"]
-    else:
-        sets = tmp_path / "sets.txt"
-        write_sets_file(str(sets), family_random(50, 12, 0.3, seed=4))
-        rng = np.random.default_rng(9)
-        stream.write_text("# model=insertion n=50\n" + "".join(
-            f"{c} {v}\n" for c, v in zip(rng.integers(1, 51, size=80),
-                                         rng.integers(1, 30, size=80))))
+    elif case == "l1-sets":
+        _write_rows(stream, "# model=insertion n=50", rng.integers(1, 51, size=80),
+                    rng.integers(1, 30, size=80))
         argv = ["--sketch", "l1", "--sets", str(sets), "--eps", "0.3",
                 "--capacity", "100000"]
+    elif case == "l1-intervals":
+        # the block path (l1's virtual coordinates) on the interval backend
+        _write_rows(stream, "# model=insertion n=60", rng.integers(1, 61, size=70),
+                    rng.integers(1, 40, size=70))
+        argv = ["--sketch", "l1", "--intervals", "12", "--n", "60", "--eps", "0.4",
+                "--capacity", "5000"]
+    elif case == "priority-sets":
+        _write_rows(stream, "# model=entrywise n=50", rng.permutation(50) + 1,
+                    np.round(rng.normal(0, 10, size=50), 2))
+        argv = ["--sketch", "priority", "--sets", str(sets), "--k", "4",
+                "--p", "1.5"]
+    else:
+        _write_rows(stream, "# model=turnstile n=60", rng.integers(1, 61, size=200),
+                    rng.integers(-5, 6, size=200))
+        argv = ["--sketch", "lp-additive", "--n", "60", "--eps", "0.5", "--p", "2"]
     assert main(["build", *argv, "--stream", str(stream), "--seed", "3",
                  "--out", str(out)]) == 0
     capsys.readouterr()

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
+from subsetsketch.bounded_sampler import origin
 from subsetsketch.errors import (
     ModelMismatch,
     StreamLengthExceeded,
     UniverseTooLarge,
 )
-from subsetsketch.l1_adapter import (
-    L1UniversalSketch,
-    decode_origin,
-    encode_arrival,
-)
+from subsetsketch.l1_adapter import L1UniversalSketch, encode_arrival
 from subsetsketch.setsystem import (
     IntervalSystem,
     SetSystem,
@@ -27,11 +24,14 @@ def test_encode_decode_block_layout():
     assert encode_arrival(1, 7, cap) == 7
     assert encode_arrival(2, 1, cap) == 8
     assert encode_arrival(3, 7, cap) == 21
-    for v in range(1, 22):
-        assert decode_origin(v, cap) == (v - 1) // cap + 1
+    # the samplers' origin map sends each coordinate's ticks back to it
+    sk = L1UniversalSketch(SetSystem(9, [range(1, 10)]), 0.5, seed=1, stream_capacity=cap)
+    block = sk.inner.ladder[0].block
+    ticks = np.arange(1, cap + 1)
     for coord in (1, 4, 9):
+        assert (origin(encode_arrival(coord, ticks, cap), block) == coord).all()
         for tick in (1, 3, 7):
-            assert decode_origin(encode_arrival(coord, tick, cap), cap) == coord
+            assert origin(encode_arrival(coord, tick, cap), block) == coord
 
 
 def test_small_stream_totals_exact():

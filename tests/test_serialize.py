@@ -124,7 +124,7 @@ def test_priority_round_trip(tmp_path):
     lk = load_sketch(path)
 
     assert lk._heaps == sk._heaps  # exact tuples, exact order
-    assert lk._refs == sk._refs
+    assert lk.stored_coordinates() == sk.stored_coordinates()
     assert lk._seen == sk._seen
     for j in range(system.num_sets):
         q = system.coords_of(j)

@@ -231,6 +231,18 @@ def test_check_names_the_first_offender():
     s.check("turnstile")  # repeats are fine there
 
 
+def test_writer_refuses_a_stream_that_breaks_its_model(tmp_path):
+    # written unit by unit, 2.5 would lose half a unit and -1 would vanish
+    s = Stream("insertion", 3, [1, 2, 3], [2.5, -1.0, 3.0])
+    with pytest.raises(ModelMismatch, match="got 2.5"):
+        s.lines()
+    with pytest.raises(ModelMismatch):
+        s.write(tmp_path / "s.txt")
+    assert not (tmp_path / "s.txt").exists()
+    with pytest.raises(DuplicateEntry):
+        Stream("entrywise", 3, [2, 2], [1.0, 4.0]).lines()
+
+
 def test_replay_accepts_file_object_lines(tmp_path):
     text = "# model=turnstile n=4\n2 1.5\n2 -0.5\n"
     s = parse_stream_lines(io.StringIO(text))

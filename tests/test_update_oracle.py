@@ -22,19 +22,18 @@ def calls(monkeypatch):
     """Counts of bulk commits and of evicted coordinates from now on."""
     seen = {"add_many": 0, "evicted": 0}
     for cls in (bounded_sampler._ExplicitState, bounded_sampler._IntervalState):
-        add, drain = cls.add_many, cls.drain_evictions
+        add, forget = cls.add_many, cls._forget
 
         def counted_add(self, coords, origs, add=add):
             seen["add_many"] += coords.size > 0
             return add(self, coords, origs)
 
-        def counted_drain(self, drain=drain):
-            out = drain(self)
-            seen["evicted"] += len(out)
-            return out
+        def counted_forget(self, victim, vorig, forget=forget):
+            seen["evicted"] += 1
+            forget(self, victim, vorig)
 
         monkeypatch.setattr(cls, "add_many", counted_add)
-        monkeypatch.setattr(cls, "drain_evictions", counted_drain)
+        monkeypatch.setattr(cls, "_forget", counted_forget)
     return seen
 
 
@@ -124,9 +123,7 @@ def test_projected_samplers(calls, system):
     batches = [rng.integers(1, system.n * cap + 1, size=m) for m in (400, 25, 900)]
     for vote_only in (False, True):
         _assert_batches_agree(
-            lambda: BoundedSampler(system, 20, 1.0, 9, universe=system.n * cap,
-                                   project=lambda v: (v - 1) // cap + 1,
-                                   vote_only=vote_only),
+            lambda: BoundedSampler(system, 20, 1.0, 9, block=cap, vote_only=vote_only),
             batches)
     assert calls["add_many"] > 0 and calls["evicted"] > 0
 
@@ -187,20 +184,16 @@ def _random_case(seed):
     else:
         system = SetSystem(n, [np.flatnonzero(rng.random(n) < rng.uniform(0.02, 0.6)) + 1
                                for _ in range(int(rng.integers(1, 25)))])
-    universe = project = None
-    if rng.random() < 0.3:
-        cap = int(rng.integers(2, 40))
-        universe = n * cap
-        project = lambda v: (v - 1) // cap + 1  # noqa: E731
+    block = int(rng.integers(2, 40)) if rng.random() < 0.3 else 1
     budget = int(rng.choice([1, 3, 10, 15, 16, 17, 20, 40, 100]))
     rate = float(rng.choice([1.0, 1.0, 0.5, 0.25]))
     vote_only = bool(rng.random() < 0.5)
-    top = system.n if universe is None else universe
+    top = system.n * block
     batches = [rng.integers(1, int(rng.integers(1, top + 1)) + 1,
                             size=int(rng.integers(0, 300)))
                for _ in range(int(rng.integers(1, 5)))]
-    return (lambda: BoundedSampler(system, budget, rate, seed, universe=universe,
-                                   project=project, vote_only=vote_only)), batches
+    return (lambda: BoundedSampler(system, budget, rate, seed, block=block,
+                                   vote_only=vote_only)), batches
 
 
 @pytest.mark.parametrize("block", range(4))
