@@ -30,7 +30,10 @@ Two backends:
   crosses the budget.  A kept coordinate is evictable when none of the L
   windows over its origin holds at most the budget; one prefix count of
   the windows at or below it answers that for a whole run of origins, both
-  after a live insertion and when a restored support is checked.
+  after a live insertion and when a restored support is checked.  An
+  interval's count is two reads of a prefix count of the kept coordinates
+  per origin, built on the first read and dropped on every write, so a
+  sketch that only answers queries builds it once per sampler.
 
 A `block` greater than 1 runs the sampler over a virtual universe of
 `system.n * block` coordinates, in which system coordinate o owns the
@@ -519,7 +522,9 @@ class _ExplicitState(_OriginState):
 
 class _IntervalState(_OriginState):
     """Window-count backend; `w[t]` counts kept coordinates whose origin
-    lies in the length-L window starting at t+1, L the minimum member length."""
+    lies in the length-L window starting at t+1, L the minimum member length.
+    `_prefix[c]`, once an interval count has built it and until `per_orig`
+    next changes, counts the kept coordinates whose origin is at most c."""
 
     def __init__(self, system: IntervalSystem, budget: int, *,
                  projected: bool = False, track_saturation: bool = False) -> None:
@@ -532,6 +537,7 @@ class _IntervalState(_OriginState):
         # int32 halves these per-sampler arrays of n entries; counts are <= n
         self.w = np.zeros(max(self.num_windows, 0), dtype=np.int32)
         self.per_orig = np.zeros(self.n + 1, dtype=np.int32)
+        self._prefix: np.ndarray | None = None
         self._track = track_saturation
         self._sat_windows = 0
 
@@ -564,6 +570,7 @@ class _IntervalState(_OriginState):
         if self._track:
             self._sat_windows += int(np.count_nonzero(self.w[lo : hi + 1] == u))
         self.per_orig[orig] += 1
+        self._prefix = None
         self._keep(coord, orig)
         sl = self.w[lo : hi + 1]
         if int(sl.min()) > u or bool((sl == u + 1).any()):
@@ -587,6 +594,7 @@ class _IntervalState(_OriginState):
                 (self.w < u) & (self.w + added >= u)))
         self.w += added
         self.per_orig += per_orig
+        self._prefix = None
         self._hold(coords, origs)
 
     def restore(self, coords: np.ndarray, origs: np.ndarray) -> None:
@@ -629,6 +637,7 @@ class _IntervalState(_OriginState):
             if self._track:
                 self._sat_windows -= int(np.count_nonzero(self.w[lo : hi + 1] == u - 1))
             self.per_orig[vorig] -= 1
+            self._prefix = None
             self._forget(victim, vorig)
 
     def intersection_count(self, q) -> int:
@@ -640,4 +649,6 @@ class _IntervalState(_OriginState):
         a, b = max(1, a), min(self.n, b)
         if a > b:
             return 0
-        return int(self.per_orig[a : b + 1].sum())
+        if self._prefix is None:
+            self._prefix = np.cumsum(self.per_orig, dtype=np.int32)
+        return int(self._prefix[b] - self._prefix[a - 1])

@@ -21,8 +21,9 @@ restored.  Parts that must agree are cross-checked: the header `n` and
 `set_system_fingerprint` against the system's, an `l1` `clock` against the
 ticks its supports encode, a priority `seen` against the heap coordinates
 and [1, n], and the weights a priority coordinate carries in its heaps
-against each other.  An lp file's counter table, which its `k` sizes, is
-checked against the counters present before it is built.
+against each other.  A priority weight is |v|^p, so one that is not finite
+or is below 0 is refused.  An lp file's counter table, which its `k` sizes,
+is checked against the counters present before it is built.
 
 `save_sketch` writes the outer containers piece by piece and encodes each
 leaf (a support, a heap, a set) with `json.dumps`, so the file equals
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -262,15 +264,22 @@ def _state_priority(sk: PrioritySketch) -> dict:
     return out
 
 
-def _heap_pairs(stored, j: int, n: int) -> tuple[tuple, tuple]:
-    """(coordinates, weights) of saved heap j, or ValueError."""
-    ok = (type(stored) is list and set(map(type, stored)) <= {list}
-          and set(map(len, stored)) <= {2})
-    cs, ws = zip(*stored) if ok and stored else ((), ())
-    if not (ok and set(map(type, cs)) <= {int} and set(map(type, ws)) <= {float, int}):
-        raise ValueError(f"heap {j} must be a list of [coordinate, weight] pairs")
-    if cs and (min(cs) < 1 or max(cs) > n):
-        raise ValueError(f"heap {j} holds a coordinate outside [1, {n}]")
+def _heap_pairs(stored, j: int, n: int) -> tuple[list, list]:
+    """(coordinates, weights) of saved heap j, or ValueError; one pass."""
+    shape = f"heap {j} must be a list of [coordinate, weight] pairs"
+    if type(stored) is not list:
+        raise ValueError(shape)
+    cs, ws = [], []
+    for pair in stored:
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(shape)
+        c, w = pair
+        if type(c) is not int or (type(w) is not float and type(w) is not int):
+            raise ValueError(shape)
+        if not 1 <= c <= n:
+            raise ValueError(f"heap {j} holds a coordinate outside [1, {n}]")
+        cs.append(c)
+        ws.append(w)
     return cs, ws
 
 
@@ -293,6 +302,11 @@ def _load_priority(d: dict) -> PrioritySketch:
     if len(weight) != len(held):
         twice = min(c for c, w in held if w != weight[c])
         raise ValueError(f"heap coordinate {twice} carries two different weights")
+    # a stored weight is |v|^p: finite and at least 0 (NaN fails both tests)
+    if bad := [c for c, w in weight.items() if not 0.0 <= w < math.inf]:
+        c = min(bad)
+        raise ValueError(f"heap coordinate {c} carries weight {weight[c]!r}, "
+                         "not a finite number >= 0")
     entry = {c: (w / sk.uniform_for(c), -c, c, w) for c, w in weight.items()}
     for j, (cs, _) in enumerate(pairs):
         # the saved list order already satisfies the heap invariant; rebuild

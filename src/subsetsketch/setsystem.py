@@ -36,6 +36,10 @@ EXACT_SEARCH_MAX_N = 24
 _MATERIALIZE_MAX_SETS = 500_000
 # cells of the k x n uniform draw behind `family_random` (256 MiB of floats)
 FAMILY_RANDOM_MAX_CELLS = 1 << 25
+# largest universe of `hh_dim_greedy_lower`, which holds `restarts` column
+# orders of n ints at once (`hhdim` on two small sets at this n: about 2 s
+# and 130 MB peak RSS, numpy included, on one 2-vCPU x86 machine)
+GREEDY_MAX_N = 1 << 18
 
 
 def _mask_from_coords(coords, n: int) -> int:
@@ -368,8 +372,11 @@ def hh_dim_greedy_lower(system, restarts: int = 8, seed: int = 0) -> int:
     Builds a permutation submatrix directly: keep columns C and one row per
     column with row . C = {column}; a new column c needs a row through c
     avoiding C, and c must avoid all used rows.  Multiple seeded column
-    orders, best kept.
+    orders, best kept.  Refused for n above GREEDY_MAX_N.
     """
+    if system.n > GREEDY_MAX_N:
+        raise UniverseTooLarge(
+            f"greedy lower bound supports n <= {GREEDY_MAX_N}, got {system.n}")
     system = _as_explicit(system)
     n, masks = system.n, system.masks
     if n == 0 or not masks:

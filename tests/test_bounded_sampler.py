@@ -308,6 +308,49 @@ def test_intersection_count_paths():
     assert t.intersection_count([1, 7]) == 2
 
 
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("vote_only", [False, True], ids=["plain", "vote_only"])
+def test_interval_counts_follow_every_write(monkeypatch, block, vote_only):
+    # interval counts read a prefix count kept between writes: query after
+    # every bulk commit, single insert, eviction and restore, so that a
+    # prefix surviving any of those writes shows as a wrong count
+    writes = dict.fromkeys(("add_many", "insert", "_forget"), 0)
+    for name in writes:
+        def counted(self, *args, _name=name, _method=getattr(_IntervalState, name)):
+            writes[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_IntervalState, name, counted)
+    n, length, budget = 150, 20, 16
+    system = IntervalSystem(n, length)
+    rng = np.random.default_rng(23 + block)
+    ranges = [(1, n), (1, length), (n - length + 1, n), (13, 47), (30, 30)]
+    ranges += [tuple(sorted(rng.integers(1, n + 1, size=2).tolist())) for _ in range(8)]
+
+    def check(s):
+        held = np.array(s.support(), dtype=np.int64)
+        origs = (held - 1) // block + 1
+        for lo, hi in ranges:
+            want = int(np.count_nonzero((origs >= lo) & (origs <= hi)))
+            assert s.intersection_count(range(lo, hi + 1)) == want
+
+    def fresh():
+        return BoundedSampler(system, budget, 1.0, 5, block=block, vote_only=vote_only)
+
+    s = fresh()
+    for step in range(90):
+        if step % 15 == 14:
+            restored = fresh()
+            check(restored)  # builds the empty sampler's prefix first
+            restored.restore_support(s.support())
+            s = restored
+        elif step % 3:
+            s.update(int(rng.integers(1, n * block + 1)))
+        else:
+            s.update_many(rng.integers(1, n * block + 1, size=int(rng.integers(1, 40))))
+        check(s)
+    assert writes["add_many"] >= 4 and writes["insert"] >= 10 and writes["_forget"] >= 5
+
+
 def test_sampling_rate_thins_stream():
     fam = family_intervals(1000, 1000)
     dense = BoundedSampler(fam, 10**9, 1.0, 3)

@@ -461,6 +461,13 @@ def test_hhdim_command(tmp_path, capsys):
     assert run.returncode == 2, run.stderr
     assert "cells" in run.stderr and "Traceback" not in run.stderr
 
+    # a sets file declaring a universe past GREEDY_MAX_N is refused before
+    # the greedy sizes its column orders by n
+    path.write_text("n=1000000000000\n1 2\n3 4\n")
+    run = _main_in_child("hhdim", "--sets", str(path))
+    assert run.returncode == 2, run.stderr
+    assert "n <= 262144" in run.stderr and "Traceback" not in run.stderr
+
 
 def test_gen_command_round_trip(tmp_path, capsys):
     out = tmp_path / "g.txt"

@@ -1,4 +1,5 @@
-"""Byte-level goldens: `gen` output and CLI-built state files.
+"""Byte-level goldens: `gen` output, CLI-built state files and the answers
+`query` prints from the interval states.
 
 The digests were recorded before streams became columnar (the `priority`,
 `lp-additive` and `l1-intervals` states later, one per remaining kind and
@@ -103,3 +104,27 @@ def _build(tmp_path, capsys, case: str):
 @pytest.mark.parametrize("case", list(STATE_SHA256))
 def test_cli_state_bytes(tmp_path, capsys, case):
     assert _sha256(_build(tmp_path, capsys, case)) == STATE_SHA256[case]
+
+
+# member ranges of each interval golden state (minimum lengths 25 and 12)
+QUERY_RANGES = {
+    "l0-intervals": ["1..200", "1..25", "176..200", "10..60", "37..149",
+                     "100..124", "50..200", "1..100", "80..190", "160..199"],
+    "l1-intervals": ["1..60", "1..12", "49..60", "5..30", "17..44", "30..41",
+                     "20..60", "1..33", "8..52", "40..58"],
+}
+
+QUERY_SHA256 = {
+    "l0-intervals":
+        "71f672da860ea7133fe3f39b20a77de58af0397831fbe0c3ad7a723283a01238",
+    "l1-intervals":
+        "24889a07984524a1e280e5f7d40b5f8afd3779259a3f479559b7fafeefabfa7d",
+}
+
+
+@pytest.mark.parametrize("case", list(QUERY_SHA256))
+def test_cli_query_output(tmp_path, capsys, case):
+    state = _build(tmp_path, capsys, case)
+    assert main(["query", str(state), *QUERY_RANGES[case]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == QUERY_SHA256[case]

@@ -420,6 +420,28 @@ def test_malformed_other_kinds_raise_value_error():
                 sketch_from_state(_edited(state, edit))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -5.0],
+                         ids=["nan", "inf", "negative"])
+def test_priority_weight_no_update_can_store_exits_2(tmp_path, weight):
+    # a stored weight is |v|^p; this one is set alike in every heap holding
+    # the coordinate, so only the range check can refuse it
+    from subsetsketch.cli import main
+
+    def edit(st):
+        c = st["state"]["heaps"][0][0][0]
+        for heap in st["state"]["heaps"]:
+            for pair in heap:
+                if pair[0] == c:
+                    pair[1] = weight
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_edited(sketch_state(_sketches_of_every_kind()["priority"]),
+                                       edit)))
+    with pytest.raises(ValueError, match="not a finite number >= 0"):
+        load_sketch(path)
+    assert main(["query", str(path), "1"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # parts of a state file that must agree with each other (CLI exit code 2)
 
