@@ -53,10 +53,10 @@ arrivals whose xi is 1, commits them in one array pass per backend
 (`add_many`), and only the rest goes through `insert_presampled`.
 `restore_support` rebuilds a sampler from a saved support with the same
 `add_many` on a fresh state, then checks that the result is settled.
-`_SamplerPool` makes the xi decisions of many samplers, a block per
-`coeff_mod_values` call; every support-sketch layer is a `_PoolFed`, fed
-through one pool packed over its samplers (a `BoundedSampler` is a pool of
-one), and `restore_support` checks a snapshot against the same decision.
+Every support-sketch layer is its own sampler pool (`_PoolFed`), making
+the xi decisions of its `samplers` a block per `coeff_mod_values` call; a
+`BoundedSampler` is a pool of one, and `restore_support` checks a snapshot
+against the same decision.
 """
 
 from __future__ import annotations
@@ -103,53 +103,39 @@ def _xi(coef: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return coeff_mod_values(coef[:, 0], coef[:, 1], arr) < coef[:, 2:]
 
 
-class _SamplerPool:
-    """Columnar xi decisions for a list of samplers over one universe.
+class _PoolFed:
+    """A layer that is the sampler pool of its `samplers` (set by the
+    subclass, with `universe`); `update(c)` is `update_many((c,))`.
 
-    Packs each sampler's hash coefficients and acceptance threshold once;
-    a batch is hashed for a block of samplers at a time (unless all are
-    frozen), and each unfrozen one takes its hits, in stream order,
-    through `insert_sampled`.
-    A rate-1 sampler's threshold, 2^61 - 1, is above every hash value, so
-    it takes every item.  Blocks group samplers, not items: a batch of m
-    items is hashed for max(1, _POOL_CHUNK_CELLS // m) samplers per call,
-    which bounds the hits held at once to one block's.
-    """
+    `_coef` packs each sampler's hash coefficients and acceptance threshold
+    on first use; a batch is hashed for a block of samplers at a time
+    (unless all are frozen), and each unfrozen one takes its hits, in
+    stream order, through `insert_sampled`.  A rate-1 sampler's threshold,
+    2^61 - 1, is above every hash value, so it takes every item.  A batch of
+    m items is hashed for max(1, _POOL_CHUNK_CELLS // m) samplers per call,
+    which bounds the hits held at once to one block's."""
 
-    def __init__(self, samplers, universe: int) -> None:
-        self.samplers = list(samplers)
-        self.universe = universe
-        self._coef = np.array([s.sampling_coefficients for s in self.samplers],
-                              dtype=np.uint64).reshape(-1, 3)
+    @cached_property
+    def _coef(self) -> np.ndarray:
+        return np.array([s.sampling_coefficients for s in self.samplers],
+                        dtype=np.uint64).reshape(-1, 3)
+
+    def update(self, coord: int) -> None:
+        self.update_many((coord,))
 
     def update_many(self, coords) -> None:
         arr = checked_coords(coords, self.universe)
+        samplers = self.samplers
         step = max(1, _POOL_CHUNK_CELLS // max(arr.size, 1))
-        for lo in range(0, len(self.samplers), step):
+        for lo in range(0, len(samplers), step):
             part = slice(lo, lo + step)
-            block = self.samplers[part]
+            block = samplers[part]
             if all(s._frozen for s in block):
                 continue
             xi = _xi(self._coef[part], arr)
             for i in np.flatnonzero(xi.any(axis=1)).tolist():
                 if not block[i]._frozen:
                     block[i].insert_sampled(arr[xi[i]])
-
-
-class _PoolFed:
-    """A layer fed through one `_SamplerPool` over its `samplers` (set by
-    the subclass, with `universe`), packed on first use (a `BoundedSampler`
-    packs itself per call): `update(c)` is `update_many((c,))`."""
-
-    @cached_property
-    def pool(self) -> _SamplerPool:
-        return _SamplerPool(self.samplers, self.universe)
-
-    def update(self, coord: int) -> None:
-        self.update_many((coord,))
-
-    def update_many(self, coords) -> None:
-        self.pool.update_many(coords)
 
 
 class BoundedSampler(_PoolFed):
@@ -205,24 +191,21 @@ class BoundedSampler(_PoolFed):
 
     def sampled(self, coord: int) -> bool:
         """The fixed sampling indicator xi for a coordinate."""
-        if self.rate >= 1.0:
-            return True
         return self._hash.value(coord) < self._threshold
 
     @property
     def sampling_coefficients(self) -> tuple[int, int, int]:
         """(a, b, threshold): xi(c) = 1 iff (a*c + b) mod (2^61 - 1) < threshold.
 
-        Lets a `_SamplerPool` batch the xi decisions of many samplers and
+        Lets a pool (`_PoolFed`) batch the xi decisions of many samplers and
         hand each its hits through `insert_sampled`.
         """
         return self._hash.a, self._hash.b, self._threshold
 
     @property
-    def pool(self) -> _SamplerPool:
-        # fed on its own, a pool of one, built per call: cached, the pool
-        # would hold the sampler that holds it, a reference cycle
-        return _SamplerPool((self,), self.universe)
+    def samplers(self) -> list[BoundedSampler]:
+        # fed on its own, a pool of one; not stored, which would be a cycle
+        return [self]
 
     # -- stream --------------------------------------------------------------
 
@@ -314,7 +297,7 @@ class BoundedSampler(_PoolFed):
         dup = np.flatnonzero(arr[1:] == arr[:-1])
         if dup.size:
             raise ValueError(f"snapshot coordinate {arr[dup[0]]} appears twice")
-        xi = _xi(np.array([self.sampling_coefficients], dtype=np.uint64), arr)[0]
+        xi = _xi(self._coef, arr)[0]
         if not xi.all():
             raise ValueError(f"snapshot coordinate {arr[~xi][0]} is never sampled here")
         origs = origin(arr, self.block)

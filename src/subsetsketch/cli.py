@@ -47,7 +47,7 @@ from .setsystem import (
     hh_dim_greedy_lower,
     read_sets_file,
 )
-from .streams import MODELS, gen_stream, parse_stream_lines, read_stream_file
+from .streams import GENERATORS, MODELS, gen_stream, parse_stream_lines, read_stream_file
 from .subset_l0 import L0UniversalSketch
 
 EXIT_OK = 0
@@ -152,8 +152,8 @@ KINDS = {
                _fed(L1UniversalSketch(system, a.eps, seed, stream_capacity=a.capacity),
                     s.coords, s.values)),
     "priority": Kind(("entrywise",), _ENTRYWISE_WHY, True, lambda a, s, system, n, seed:
-                     _fed_per_line(s, PrioritySketch(system, a.p, a.k or sample_budget(a.eps),
-                                                     seed))),
+                     _fed_per_line(s, PrioritySketch(
+                         system, a.p, sample_budget(a.eps) if a.k is None else a.k, seed))),
     "lp-additive": Kind(MODELS, "", False, lambda a, s, system, n, seed:
                         _fed_per_line(s, LpSetSketch(n, a.p, a.eps, seed, k=a.k))),
 }
@@ -167,7 +167,7 @@ def cmd_build(args) -> int:
     if kind.needs_system and system is None:
         raise CliError(EXIT_PARSE, f"--sets (or --intervals) is required for {args.sketch}")
     universe = system.n if system is not None else stream.n
-    if not kind.needs_system and args.n:
+    if not kind.needs_system and args.n is not None:
         universe = args.n
     if stream.n > universe:
         raise CliError(EXIT_PARSE, f"stream n = {stream.n} exceeds the universe "
@@ -257,22 +257,23 @@ def cmd_query(args) -> int:
 # hhdim
 
 
+# the families `hhdim --family` names, each built from the parsed arguments
+FAMILIES = {
+    "singletons": lambda a: family_singletons(a.n),
+    "intervals": lambda a: family_intervals(a.n, a.k),
+    "half-intervals": lambda a: family_half_intervals(a.n),
+    "missing-few": lambda a: family_missing_few(a.n, a.k),
+    "random": lambda a: family_random(a.n, a.k, a.q, a.seed),
+}
+
+
 def _family_from_args(args):
     if args.sets:
         return _load_system(args)
-    fams = {
-        "singletons": lambda: family_singletons(args.n),
-        "intervals": lambda: family_intervals(args.n, args.k),
-        "half-intervals": lambda: family_half_intervals(args.n),
-        "missing-few": lambda: family_missing_few(args.n, args.k),
-        "random": lambda: family_random(args.n, args.k, args.q, args.seed),
-    }
-    if args.family not in fams:
-        raise CliError(EXIT_PARSE, f"unknown family {args.family!r}; known: {sorted(fams)}")
     if args.n is None:
         raise CliError(EXIT_PARSE, "--family requires --n")
     try:
-        return fams[args.family]()
+        return FAMILIES[args.family](args)
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_PARSE, f"family parameters: {e}")
 
@@ -456,9 +457,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="consume a stream, write a sketch state file")
-    b.add_argument("--sketch", required=True,
-                   choices=list(KINDS))
-    b.add_argument("--model", choices=["insertion", "turnstile", "entrywise"],
+    b.add_argument("--sketch", required=True, choices=list(KINDS))
+    b.add_argument("--model", choices=MODELS,
                    help="stream model; defaults to the header or the sketch's native model")
     b.add_argument("--stream", required=True, help="stream file, or - for stdin")
     b.add_argument("--out", required=True, help="state file to write")
@@ -481,9 +481,7 @@ def _parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hhdim", help="permutation-submatrix dimension of a family")
     h.add_argument("--sets", help="explicit sets file")
-    h.add_argument("--family",
-                   choices=["singletons", "intervals", "half-intervals",
-                            "missing-few", "random"])
+    h.add_argument("--family", choices=list(FAMILIES))
     h.add_argument("--n", type=int)
     h.add_argument("--k", type=int, default=2)
     h.add_argument("--q", type=float, default=0.3, help="density for --family random")
@@ -491,9 +489,7 @@ def _parser() -> argparse.ArgumentParser:
     h.set_defaults(fn=cmd_hhdim)
 
     g = sub.add_parser("gen", help="emit a reproducible stream instance")
-    g.add_argument("--kind", required=True,
-                   choices=["uniform", "zipf", "planted-subset",
-                            "adversarial-turnstile", "adversarial-sliding"])
+    g.add_argument("--kind", required=True, choices=list(GENERATORS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--length", type=int)
     g.add_argument("--theta", type=float)

@@ -72,16 +72,20 @@ class PrioritySketch:
         if coord in self._seen:
             raise DuplicateEntry(
                 f"coordinate {coord} already delivered; entries arrive once")
-        self._seen.add(coord)
+        # a refused entry is not delivered: checked before it is marked seen
         value = float(value)
-        if value == 0.0:
-            return
         if not math.isfinite(value):
             raise ValueError(f"entry value must be finite, got {value!r}")
+        try:
+            w = 1.0 if self.p == 0.0 else abs(value) ** self.p
+        except OverflowError:
+            raise ValueError(f"weight |{value!r}|^{self.p} is beyond the float range") from None
+        self._seen.add(coord)
+        if value == 0.0:
+            return
         ids = self.system.ids_containing(coord)
         if not ids:
             return
-        w = 1.0 if self.p == 0.0 else abs(value) ** self.p
         q = w / self.uniform_for(coord)
         entry = (q, -coord, coord, w)
         for j in ids:

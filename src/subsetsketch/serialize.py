@@ -53,7 +53,6 @@ from .setsystem import IntervalSystem, SetSystem
 from .subset_l0 import L0UniversalSketch, detector_repetitions
 
 FORMAT_VERSION = 1
-SKETCH_KINDS = ("l0", "l1", "priority", "lp_additive")
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +365,20 @@ def _load_lp(d: dict) -> LpSetSketch:
 # ---------------------------------------------------------------------------
 # public API
 
-_SAVERS = [
-    (L0UniversalSketch, _state_l0),
-    (L1UniversalSketch, _state_l1),
-    (PrioritySketch, _state_priority),
-    (LpSetSketch, _state_lp),
-]
-_LOADERS = {
-    "l0": _load_l0,
-    "l1": _load_l1,
-    "priority": _load_priority,
-    "lp_additive": _load_lp,
+# per sketch kind: its class, the state it saves and its loader
+_KINDS = {
+    "l0": (L0UniversalSketch, _state_l0, _load_l0),
+    "l1": (L1UniversalSketch, _state_l1, _load_l1),
+    "priority": (PrioritySketch, _state_priority, _load_priority),
+    "lp_additive": (LpSetSketch, _state_lp, _load_lp),
 }
 
 
 def sketch_state(sk) -> dict:
     """JSON-ready state dict for any of the four sketch kinds."""
-    for cls, fn in _SAVERS:
+    for cls, save, _ in _KINDS.values():
         if isinstance(sk, cls):
-            return fn(sk)
+            return save(sk)
     raise TypeError(f"cannot serialize {type(sk).__name__}")
 
 
@@ -395,9 +389,9 @@ def sketch_from_state(d: dict):
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
     kind = d.get("sketch_kind")
-    if not isinstance(kind, str) or kind not in _LOADERS:
-        raise UnknownKind(f"unknown sketch kind {kind!r}; known: {SKETCH_KINDS}")
-    return _LOADERS[kind](d)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise UnknownKind(f"unknown sketch kind {kind!r}; known: {tuple(_KINDS)}")
+    return _KINDS[kind][2](d)
 
 
 def _write_json(f, obj, depth: int, memo: dict) -> None:

@@ -272,12 +272,6 @@ class IntervalSystem:
                 masks.append(base << (lo - 1))
         return SetSystem(self.n, masks)
 
-    def to_lines(self) -> list[str]:
-        return [
-            f"n={self.n}",
-            f"# intervals min_len={self.min_len} max_len={self.max_len}",
-        ]
-
     def fingerprint(self) -> str:
         return fingerprint_lines(
             [f"intervals n={self.n} min={self.min_len} max={self.max_len}"]
@@ -325,6 +319,9 @@ def read_sets_file(path) -> SetSystem:
 
 
 def write_sets_file(path, system: SetSystem) -> None:
+    # an IntervalSystem has no sets file text: its n alone reads back empty
+    if not isinstance(system, SetSystem):
+        raise TypeError(f"a sets file holds a SetSystem, got {type(system).__name__}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(system.to_lines()) + "\n")
 
@@ -441,6 +438,8 @@ def vc_dim_exact(system) -> int:
 
 
 def family_singletons(n: int) -> SetSystem:
+    if n > _MATERIALIZE_MAX_SETS:
+        raise UniverseTooLarge(f"refusing to materialize {n} singleton sets")
     return SetSystem(n, ([i] for i in range(1, n + 1)))
 
 

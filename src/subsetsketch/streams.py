@@ -280,17 +280,10 @@ def _check_length(m: int) -> int:
 
 def gen_stream(kind: str, params: dict, seed: int) -> Stream:
     """Reproducible stream instances; see the per-kind helpers for params."""
-    gens = {
-        "uniform": _gen_uniform,
-        "zipf": _gen_zipf,
-        "planted-subset": _gen_planted,
-        "adversarial-turnstile": _gen_adv_turnstile,
-        "adversarial-sliding": _gen_adv_sliding,
-    }
-    if kind not in gens:
-        raise UnknownKind(f"unknown stream kind {kind!r}; known: {sorted(gens)}")
+    if kind not in GENERATORS:
+        raise UnknownKind(f"unknown stream kind {kind!r}; known: {sorted(GENERATORS)}")
     rng = np.random.default_rng(derive_seed(seed, "gen", kind))
-    return gens[kind](dict(params), rng)
+    return GENERATORS[kind](dict(params), rng)
 
 
 def _gen_uniform(params: dict, rng) -> Stream:
@@ -387,3 +380,13 @@ def _gen_adv_sliding(params: dict, rng) -> Stream:
         np.ones(n),
         {"kind": "adversarial-sliding", "interval": (1, half), "window": half},
     )
+
+
+# the stream kinds of `gen_stream` (and `subsetsketch gen --kind`)
+GENERATORS = {
+    "uniform": _gen_uniform,
+    "zipf": _gen_zipf,
+    "planted-subset": _gen_planted,
+    "adversarial-turnstile": _gen_adv_turnstile,
+    "adversarial-sliding": _gen_adv_sliding,
+}

@@ -15,10 +15,10 @@ Composition, bottom up:
   member sets succeed simultaneously rather than one at a time.
 
 Detectors whose rate is 1 all alias one shared exact sampler.  Each class
-here feeds all of its samplers, the rate-1 ones included, through one
-`bounded_sampler._SamplerPool`, packed on first update (`_PoolFed`): a
-batch costs one vectorized hash evaluation per block of samplers instead of
-a Python loop over instances, and `update(c)` is `update_many((c,))`.  An
+here is the sampler pool of all of its samplers, the rate-1 ones included
+(`bounded_sampler._PoolFed`, packed on first update): a batch costs one
+vectorized hash evaluation per block of samplers instead of a Python loop
+over instances, and `update(c)` is `update_many((c,))`.  An
 interval sketch refuses a universe whose samplers would hold more than
 `MAX_INTERVAL_CELLS` window cells before it builds any.
 """

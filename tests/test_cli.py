@@ -309,6 +309,27 @@ def test_entrywise_duplicate_is_model_error(tmp_path, sets_file):
     assert rc == 3
 
 
+def test_priority_weight_overflow_exits_2(tmp_path, sets_file):
+    # |1e200|^2 is beyond the float range: a malformed entry, not a traceback
+    sets_path, _ = sets_file
+    spath = _write_stream(tmp_path, "big.txt", ["# model=entrywise n=40", "3 1e200"])
+    run = _main_in_child("build", "--sketch", "priority", "--p", "2", "--stream", spath,
+                         "--sets", sets_path, "--out", str(tmp_path / "x.json"))
+    assert run.returncode == 2, run.stderr
+    assert "beyond the float range" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_zero_size_is_refused_not_defaulted(tmp_path, sets_file):
+    # --k 0 and --n 0 are sizes no sketch takes, not requests for the default
+    sets_path, _ = sets_file
+    spath = _write_stream(tmp_path, "s.txt", ["# model=entrywise n=40", "3 1.5", "7 -2"])
+    out = tmp_path / "x.json"
+    for argv in (["--sketch", "priority", "--sets", sets_path, "--k", "0"],
+                 ["--sketch", "lp-additive", "--n", "0"]):
+        assert main(["build", *argv, "--stream", spath, "--out", str(out)]) == 2, argv
+        assert not out.exists()
+
+
 def test_interval_build_and_interval_query(tmp_path, capsys):
     stream = gen_stream("uniform", {"n": 120, "length": 500}, seed=8)
     spath = tmp_path / "s.txt"
@@ -467,6 +488,12 @@ def test_hhdim_command(tmp_path, capsys):
     run = _main_in_child("hhdim", "--sets", str(path))
     assert run.returncode == 2, run.stderr
     assert "n <= 262144" in run.stderr and "Traceback" not in run.stderr
+
+    # so is a singleton family past the sets any family may materialize,
+    # before one set is built
+    run = _main_in_child("hhdim", "--family", "singletons", "--n", "100000000")
+    assert run.returncode == 2, run.stderr
+    assert "singleton sets" in run.stderr and "Traceback" not in run.stderr
 
 
 def test_gen_command_round_trip(tmp_path, capsys):

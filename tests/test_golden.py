@@ -1,10 +1,11 @@
 """Byte-level goldens: `gen` output, CLI-built state files and the answers
-`query` prints from the interval states.
+`query` prints from each of them.
 
 The digests were recorded before streams became columnar (the `priority`,
 `lp-additive` and `l1-intervals` states later, one per remaining kind and
-backend); any change to the bytes `gen` writes or `build` saves shows here
-first.
+backend, then the `l0-sets` state and the answers of all but the interval
+states); any change to the bytes `gen` writes, `build` saves or `query`
+prints shows here first.
 """
 
 import hashlib
@@ -39,6 +40,8 @@ GEN_SHA256 = {
 STATE_SHA256 = {
     "l0-intervals":
         "2b18648330dca3fbdb58a7ab23619e7e67f6cf5f33d64660ef0669b07b059459",
+    "l0-sets":
+        "a0e4af2eafde29f327153f4d037700e76ca23b48052f0b5116965f4fafb7cc70",
     "l1-sets":
         "a4d4af95151d74ebef345e20c3b10780ff509c707b932168de77d7dec269bfe3",
     "l1-intervals":
@@ -75,6 +78,11 @@ def _build(tmp_path, capsys, case: str):
         assert main(["gen", "--kind", "zipf", "--n", "200", "--length", "900",
                      "--seed", "2", "--out", str(stream)]) == 0
         argv = ["--sketch", "l0", "--intervals", "25", "--n", "200", "--eps", "0.4"]
+    elif case == "l0-sets":
+        # the explicit backend at block 1, the one path no other case takes
+        assert main(["gen", "--kind", "zipf", "--n", "50", "--length", "400",
+                     "--seed", "2", "--out", str(stream)]) == 0
+        argv = ["--sketch", "l0", "--sets", str(sets), "--eps", "0.4"]
     elif case == "l1-sets":
         _write_rows(stream, "# model=insertion n=50", rng.integers(1, 51, size=80),
                     rng.integers(1, 30, size=80))
@@ -106,25 +114,41 @@ def test_cli_state_bytes(tmp_path, capsys, case):
     assert _sha256(_build(tmp_path, capsys, case)) == STATE_SHA256[case]
 
 
-# member ranges of each interval golden state (minimum lengths 25 and 12)
-QUERY_RANGES = {
+# the tokens queried on each golden state: every set id of the explicit
+# family, member ranges of the interval ones (minimum lengths 25 and 12) and
+# ranges over lp's universe of 60
+SET_IDS = [str(j) for j in range(1, 13)]
+QUERY_TOKENS = {
     "l0-intervals": ["1..200", "1..25", "176..200", "10..60", "37..149",
                      "100..124", "50..200", "1..100", "80..190", "160..199"],
+    "l0-sets": SET_IDS,
+    "l1-sets": SET_IDS,
     "l1-intervals": ["1..60", "1..12", "49..60", "5..30", "17..44", "30..41",
                      "20..60", "1..33", "8..52", "40..58"],
+    "priority-sets": SET_IDS,
+    "lp-additive": ["1..60", "1..10", "51..60", "5..30", "17..44", "30..41",
+                    "20..60", "1..33", "8..52", "40..58"],
 }
 
 QUERY_SHA256 = {
     "l0-intervals":
         "71f672da860ea7133fe3f39b20a77de58af0397831fbe0c3ad7a723283a01238",
+    "l0-sets":
+        "ad35851b0d7d0d08e4938e549243205c88534fb87b2b26d29ab6f9feb6d028d1",
+    "l1-sets":
+        "db2748c65bf7fbdfa906824fbaf73b2d9e9654706f42ebba897b3961c970d391",
     "l1-intervals":
         "24889a07984524a1e280e5f7d40b5f8afd3779259a3f479559b7fafeefabfa7d",
+    "priority-sets":
+        "2190dd905778a94e77ace72af784a397bc5b68fd484eb8a6090075ef20b776ed",
+    "lp-additive":
+        "c0e5bc6670cfcdd0513a741f0cd456384c15ebe2f1aded19a2a838a23f68e3d9",
 }
 
 
 @pytest.mark.parametrize("case", list(QUERY_SHA256))
 def test_cli_query_output(tmp_path, capsys, case):
     state = _build(tmp_path, capsys, case)
-    assert main(["query", str(state), *QUERY_RANGES[case]]) == 0
+    assert main(["query", str(state), *QUERY_TOKENS[case]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == QUERY_SHA256[case]

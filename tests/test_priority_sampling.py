@@ -40,6 +40,19 @@ def test_duplicate_coordinate_rejected():
         sk.update(3, 1.5)
 
 
+@pytest.mark.parametrize("value", [math.inf, float("nan"), 1e200],
+                         ids=["inf", "nan", "weight-overflows"])
+def test_refused_entry_is_not_delivered(value):
+    # an entry update refuses (not finite, or |v|^2 beyond the float range)
+    # is not delivered: its coordinate stays free for a valid entry
+    system = SetSystem(10, [range(1, 6)])
+    sk = PrioritySketch(system, 2.0, 3, seed=4)
+    with pytest.raises(ValueError):
+        sk.update(3, value)
+    sk.update(3, 1.5)
+    assert sk.query(range(1, 6)) == 1.5
+
+
 def test_validation_errors():
     system = SetSystem(10, [range(1, 6)])
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from subsetsketch.setsystem import (
     union_product,
     union_systems,
     vc_dim_exact,
+    write_sets_file,
 )
 
 
@@ -338,6 +339,15 @@ def test_sets_file_round_trip():
     back = parse_sets_lines(lines)
     assert back == s
     assert back.fingerprint() == s.fingerprint()
+
+
+def test_sets_file_refuses_an_interval_system(tmp_path):
+    # an interval family has no sets file text: writing n alone would read
+    # back as a system with no sets
+    path = tmp_path / "sets.txt"
+    with pytest.raises(TypeError, match="IntervalSystem"):
+        write_sets_file(str(path), IntervalSystem(100, 30))
+    assert not path.exists()
 
 
 def test_sets_file_comments_and_errors():

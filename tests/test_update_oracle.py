@@ -132,8 +132,8 @@ def _samplers(sk):
     return [s for _, s in _l0_slots(getattr(sk, "inner", sk))]
 
 
-def _per_sampler(pool, coords):
-    for s in pool.samplers:
+def _per_sampler(layer, coords):
+    for s in layer.samplers:
         update_per_coordinate(s, coords)
 
 
@@ -170,7 +170,7 @@ def test_whole_sketches_match(monkeypatch, make):
                        (one_item, slice(0, 80))):
         feed(bulk, part)
         with monkeypatch.context() as m:
-            m.setattr(bounded_sampler._SamplerPool, "update_many", _per_sampler)
+            m.setattr(bounded_sampler._PoolFed, "update_many", _per_sampler)
             feed(oracle, part)
         for a, b in zip(_samplers(bulk), _samplers(oracle)):
             assert bookkeeping(a) == bookkeeping(b)
