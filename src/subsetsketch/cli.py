@@ -38,6 +38,7 @@ from .setsystem import (
     EXACT_SEARCH_MAX_N,
     IntervalSystem,
     SetSystem,
+    check_greedy_budget,
     family_half_intervals,
     family_intervals,
     family_missing_few,
@@ -281,6 +282,8 @@ def _family_from_args(args):
 def cmd_hhdim(args) -> int:
     if not args.sets and not args.family:
         raise CliError(EXIT_PARSE, "need --sets FILE or --family NAME")
+    if not args.sets and args.n is not None:
+        check_greedy_budget(args.n)  # before a family over [1, n] is built
     system = _family_from_args(args)
     if system.n <= EXACT_SEARCH_MAX_N:
         dim, mode = hh_dim_exact(system), "exact"

@@ -108,11 +108,14 @@ class PrioritySketch:
         heap = self._heaps[self._resolve(q)]
         if len(heap) > self.k:
             tau = heap[0][0]
-            est = sum(max(e[3], tau) for e in heap[1:])
+            terms = [max(e[3], tau) for e in heap[1:]]
         else:
-            est = sum(e[3] for e in heap)
+            terms = [e[3] for e in heap]
+        est = sum(terms)
         if self.p == 0.0 or est == 0.0:
             return float(est)
+        if est == math.inf and math.isfinite(m := max(terms)):  # scaled by the largest
+            return m ** (1.0 / self.p) * sum(t / m for t in terms) ** (1.0 / self.p)
         return est ** (1.0 / self.p)
 
     def _resolve(self, q) -> int:

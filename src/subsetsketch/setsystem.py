@@ -12,10 +12,10 @@ Two representations:
 
 * `SetSystem` stores every member set explicitly as its sorted coordinate
   tuple, with a tuple -> set id map for resolving queries and a coordinate
-  -> set ids index for updates, built once as CSR arrays (which the bulk
-  sampler paths read) and turned into a dict; bitmasks, which only the
-  dimension solvers and the set algebra need, are computed on first use.
-  Fine up to a few thousand sets.
+  -> set ids index for updates (CSR arrays, which the bulk sampler paths
+  read, and a dict), all from numpy passes over one flat array of the
+  family's incidences.  Bitmasks, which only the dimension solvers, the
+  set algebra and mask queries need, are computed on first use.
 * `IntervalSystem` represents all intervals with lengths in [min_len,
   max_len] implicitly; samplers exploit the structure instead of enumerating
   the (possibly quadratic) family.
@@ -24,8 +24,9 @@ Two representations:
 from __future__ import annotations
 
 import hashlib
+import warnings
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -40,27 +41,21 @@ FAMILY_RANDOM_MAX_CELLS = 1 << 25
 # orders of n ints at once (`hhdim` on two small sets at this n: about 2 s
 # and 130 MB peak RSS, numpy included, on one 2-vCPU x86 machine)
 GREEDY_MAX_N = 1 << 18
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _mask_from_coords(coords, n: int) -> int:
-    m = 0
-    for c in coords:
-        c = int(c)
-        if not 1 <= c <= n:
-            raise ValueError(f"coordinate {c} outside universe [1, {n}]")
-        m |= 1 << (c - 1)
-    return m
-
-
-def _coords_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    c = 1
-    while mask:
-        if mask & 1:
-            out.append(c)
-        mask >>= 1
-        c += 1
-    return tuple(out)
+def _set_array(s, n: int) -> np.ndarray:
+    """A member set, a bitmask or a coordinate collection, as the int64 array
+    of its coordinates in the given order."""
+    if isinstance(s, int):
+        if s >> n:
+            raise ValueError("set mask exceeds universe")
+        bits = np.frombuffer(s.to_bytes(-(-s.bit_length() // 8), "little"), np.uint8)
+        return np.flatnonzero(np.unpackbits(bits, bitorder="little")) + 1
+    if isinstance(s, np.ndarray) and not np.can_cast(s.dtype, np.int64):
+        s = _canonical(s, n)  # a cast would wrap or saturate the value to name
+    return np.asarray(s if isinstance(s, (list, tuple, range, np.ndarray)) else list(s),
+                      dtype=np.int64)
 
 
 def _canonical(coords, n: int) -> tuple[int, ...]:
@@ -107,57 +102,58 @@ class SetSystem:
         if n < 0:
             raise ValueError("universe size must be nonnegative")
         self.n = n
-        coords: list[tuple[int, ...]] = []
+        sets = list(sets)
+        try:
+            arrays = [_set_array(s, n) for s in sets]
+        except (OverflowError, ValueError):  # name the first bad set, as set by set
+            for s in sets:
+                _set_array(s, n) if isinstance(s, int) else _canonical(s, n)
+            raise ValueError(f"set coordinates beyond int64 in a universe of {n}") from None
+        flat = np.concatenate([np.empty(0, np.int64), *arrays])
+        owner = np.repeat(np.arange(len(arrays)), list(map(len, arrays)))
+        inner = owner[1:] == owner[:-1]  # neighbours within one set
+        if (flat[1:] < flat[:-1])[inner].any():
+            flat = flat[np.lexsort((flat, owner))]
+        keep = np.append(True, ~inner | (flat[1:] != flat[:-1]))[:flat.size]
+        if not keep.all():
+            flat, owner = flat[keep], owner[keep]
+        bad = (flat < 1) | (flat > min(n, _INT64_MAX))
+        if bad.any():  # named as `_canonical` names it in the first such set
+            cs = flat[owner == owner[bad.argmax()]]
+            raise ValueError(f"coordinate {cs[0] if cs[0] < 1 else cs[-1]} "
+                             f"outside universe [1, {n}]")
+        values = iter(flat.tolist())
+        sizes = np.bincount(owner, minlength=len(arrays)).tolist()
+        given = [tuple(islice(values, k)) for k in sizes]
         ids: dict[tuple[int, ...], int] = {}
-        given_masks: dict[int, int] = {}
-        for s in sets:
-            if isinstance(s, int):
-                if s >> n:
-                    raise ValueError("set mask exceeds universe")
-                cs = _coords_from_mask(s)
-            else:
-                cs = _canonical(s, n)
-            if cs not in ids:
-                if isinstance(s, int):
-                    given_masks[len(coords)] = s
-                ids[cs] = len(coords)
-                coords.append(cs)
-        self._coords = coords
+        for cs in given:  # duplicates dropped, first wins
+            ids.setdefault(cs, len(ids))
+        if len(ids) < len(given):
+            flat = np.fromiter(chain.from_iterable(ids), np.int64)
+            owner = np.repeat(np.arange(len(ids)), list(map(len, ids)))
+        self._coords = list(ids)
         self._id_by_coords = ids
-        self._given_masks = given_masks
-        self.reverse_csr = self._build_csr()
-        covered, indptr, owners = self.reverse_csr
-        owners, bounds = owners.tolist(), indptr.tolist()
+        # (coords, indptr, ids): the covered coordinates, ascending, and
+        # ids[indptr[k]:indptr[k + 1]] the sets holding coords[k], ascending
+        # by the stable sort (a radix sort below 2^16)
+        order = np.argsort(flat.astype(np.uint16) if n < 1 << 16 else flat, kind="stable")
+        flat, owner = flat[order], owner[order]
+        indptr = np.append(np.flatnonzero(np.diff(flat, prepend=0)), flat.size)
+        self.reverse_csr = flat[indptr[:-1]], indptr, owner
+        owners, bounds = owner.tolist(), indptr.tolist()
         self._rev = {c: tuple(owners[bounds[k]:bounds[k + 1]])
-                     for k, c in enumerate(covered.tolist())}
+                     for k, c in enumerate(self.reverse_csr[0].tolist())}
         # declared here rather than added on first use: a key added to the
         # instance dict later slows every attribute read of this object
         self._fwd = None
 
     @cached_property
     def masks(self) -> list[int]:
-        given = self._given_masks
-        return [given[j] if j in given else _mask_from_coords(cs, self.n)
-                for j, cs in enumerate(self._coords)]
+        return [sum(1 << (c - 1) for c in cs) for cs in self._coords]
 
     @cached_property
     def _id_by_mask(self) -> dict[int, int]:
         return {m: j for j, m in enumerate(self.masks)}
-
-    def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reverse index as int64 arrays (coords, indptr, ids): coords
-        holds, ascending, every coordinate of some member set, and
-        `ids_containing(coords[k])` is ids[indptr[k]:indptr[k + 1]]."""
-        sizes = np.fromiter(map(len, self._coords), dtype=np.int64,
-                            count=len(self._coords))
-        flat = np.fromiter(chain.from_iterable(self._coords),
-                           dtype=np.int64, count=int(sizes.sum()))
-        order = np.argsort(flat, kind="stable")
-        coords, per_coord = np.unique(flat[order], return_counts=True)
-        indptr = np.zeros(coords.size + 1, dtype=np.int64)
-        np.cumsum(per_coord, out=indptr[1:])
-        owners = np.repeat(np.arange(len(self._coords), dtype=np.int64), sizes)
-        return coords, indptr, owners[order]
 
     @property
     def forward_index(self) -> tuple[dict[int, int], list[np.ndarray], np.ndarray]:
@@ -265,12 +261,9 @@ class IntervalSystem:
             raise UniverseTooLarge(
                 f"refusing to materialize {self.num_sets} interval sets"
             )
-        masks = []
-        for length in range(self.min_len, self.max_len + 1):
-            base = (1 << length) - 1
-            for lo in range(1, self.n - length + 2):
-                masks.append(base << (lo - 1))
-        return SetSystem(self.n, masks)
+        return SetSystem(self.n, (range(lo, lo + length)
+                                  for length in range(self.min_len, self.max_len + 1)
+                                  for lo in range(1, self.n - length + 2)))
 
     def fingerprint(self) -> str:
         return fingerprint_lines(
@@ -295,19 +288,32 @@ def parse_sets_lines(lines) -> SetSystem:
     space-separated ascending 1-based indices, `#` comments skipped."""
     n = None
     sets = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise ValueError("sets file must start with n=<int>")
-            n = int(line[2:])
-            continue
-        coords = list(map(int, line.split()))
-        if coords != sorted(coords):
-            raise ValueError(f"set indices must be ascending: {line!r}")
-        sets.append(coords)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if n is None:
+                if not line.startswith("n="):
+                    raise ValueError("sets file must start with n=<int>")
+                n = int(line[2:])
+                continue
+            # numpy reads the line where it provably agrees with `int` per
+            # token (no error or warning, one value per token, values
+            # ascending in [1, int64 max): numpy reads a lone sign as 0 and
+            # saturates past int64), else `int` does, naming a bad token
+            try:
+                cs = np.fromstring(line, dtype=np.int64, sep=" ")
+            except (ValueError, Warning):  # older numpy warns and truncates
+                cs = None
+            if not (cs is not None
+                    and len(cs) == line.count(" ") + 1
+                    and 1 <= cs[0] and cs[-1] < _INT64_MAX and not (cs[1:] < cs[:-1]).any()):
+                cs = list(map(int, line.split()))
+                if cs != sorted(cs):
+                    raise ValueError(f"set indices must be ascending: {line!r}")
+            sets.append(cs)
     if n is None:
         raise ValueError("empty sets file")
     return SetSystem(n, sets)
@@ -336,9 +342,12 @@ def _as_explicit(system) -> SetSystem:
 
 def _check_exact_budget(n: int) -> None:
     if n > EXACT_SEARCH_MAX_N:
-        raise UniverseTooLarge(
-            f"exact search supports n <= {EXACT_SEARCH_MAX_N}, got {n}"
-        )
+        raise UniverseTooLarge(f"exact search supports n <= {EXACT_SEARCH_MAX_N}, got {n}")
+
+
+def check_greedy_budget(n: int) -> None:
+    if n > GREEDY_MAX_N:
+        raise UniverseTooLarge(f"greedy lower bound supports n <= {GREEDY_MAX_N}, got {n}")
 
 
 def hh_dim_exact(system) -> int:
@@ -371,9 +380,7 @@ def hh_dim_greedy_lower(system, restarts: int = 8, seed: int = 0) -> int:
     avoiding C, and c must avoid all used rows.  Multiple seeded column
     orders, best kept.  Refused for n above GREEDY_MAX_N.
     """
-    if system.n > GREEDY_MAX_N:
-        raise UniverseTooLarge(
-            f"greedy lower bound supports n <= {GREEDY_MAX_N}, got {system.n}")
+    check_greedy_budget(system.n)
     system = _as_explicit(system)
     n, masks = system.n, system.masks
     if n == 0 or not masks:
@@ -480,7 +487,7 @@ def family_random(n: int, k: int, q: float, seed: int) -> SetSystem:
                          f"{FAMILY_RANDOM_MAX_CELLS} cells")
     rng = np.random.default_rng(derive_seed(seed, 0xFA11))
     rows = rng.random((k, n)) < q
-    return SetSystem(n, [(np.flatnonzero(row) + 1).tolist() for row in rows])
+    return SetSystem(n, [np.flatnonzero(row) + 1 for row in rows])
 
 
 def union_systems(s1, s2) -> SetSystem:
@@ -488,7 +495,7 @@ def union_systems(s1, s2) -> SetSystem:
     s1, s2 = _as_explicit(s1), _as_explicit(s2)
     if s1.n != s2.n:
         raise UniverseMismatch(f"universe sizes differ: {s1.n} vs {s2.n}")
-    return SetSystem(s1.n, s1.masks + s2.masks)
+    return SetSystem(s1.n, s1._coords + s2._coords)
 
 
 def union_product(s1, s2) -> SetSystem:

@@ -1,10 +1,11 @@
 """Reference forms of the hashing, set-system and lp primitives that only
 tests use: scalar and boolean views of the pairwise family, the alpha-inverse
 law, the vectorized counter hash, the set of coordinates a vector isolates,
-the incidence matrix, and an lp sketch's dense ingest and exact order
-statistic."""
+the incidence matrix, a set system built set by set and the sets-file parser
+that feeds it, and an lp sketch's dense ingest and exact order statistic."""
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from subsetsketch.errors import UniverseTooLarge
 from subsetsketch.hashing import MERSENNE61, AlphaInverseSource, PairwiseHash, bernoulli_threshold
 from subsetsketch.lp_additive import LpSetSketch, selection_statistic
 from subsetsketch.rng import _GAMMA, MASK64
-from subsetsketch.setsystem import _as_explicit, _coords_from_mask, _mask_from_coords
+from subsetsketch.setsystem import _as_explicit, _canonical, fingerprint_lines
 
 
 def uniform01(h: PairwiseHash, x: int) -> float:
@@ -49,6 +50,108 @@ def counter_hash_array(seed: int, indices) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def _mask_from_coords(coords, n: int) -> int:
+    m = 0
+    for c in coords:
+        c = int(c)
+        if not 1 <= c <= n:
+            raise ValueError(f"coordinate {c} outside universe [1, {n}]")
+        m |= 1 << (c - 1)
+    return m
+
+
+def _coords_from_mask(mask: int) -> tuple[int, ...]:
+    out = []
+    c = 1
+    while mask:
+        if mask & 1:
+            out.append(c)
+        mask >>= 1
+        c += 1
+    return tuple(out)
+
+
+class SetSystemBySet:
+    """`SetSystem`'s fields built one set and one coordinate at a time: each
+    set canonicalised on its own, duplicates dropped (first wins), bitmasks
+    kept as given or built bit by bit, and the reverse index read back from
+    the kept tuples."""
+
+    def __init__(self, n: int, sets) -> None:
+        if n < 0:
+            raise ValueError("universe size must be nonnegative")
+        self.n = n
+        coords: list[tuple[int, ...]] = []
+        ids: dict[tuple[int, ...], int] = {}
+        given: dict[int, int] = {}
+        for s in sets:
+            if isinstance(s, int):
+                if s >> n:
+                    raise ValueError("set mask exceeds universe")
+                cs = _coords_from_mask(s)
+            else:
+                cs = _canonical(s, n)
+            if cs not in ids:
+                if isinstance(s, int):
+                    given[len(coords)] = s
+                ids[cs] = len(coords)
+                coords.append(cs)
+        self._coords, self._id_by_coords, self._given_masks = coords, ids, given
+        sizes = np.fromiter(map(len, coords), dtype=np.int64, count=len(coords))
+        flat = np.fromiter(chain.from_iterable(coords), dtype=np.int64,
+                           count=int(sizes.sum()))
+        order = np.argsort(flat, kind="stable")
+        covered, per_coord = np.unique(flat[order], return_counts=True)
+        indptr = np.zeros(covered.size + 1, dtype=np.int64)
+        np.cumsum(per_coord, out=indptr[1:])
+        owners = np.repeat(np.arange(len(coords), dtype=np.int64), sizes)
+        self.reverse_csr = covered, indptr, owners[order]
+        self._rev: dict[int, tuple[int, ...]] = {}
+        for j, cs in enumerate(coords):
+            for c in cs:
+                self._rev[c] = self._rev.get(c, ()) + (j,)
+
+    @property
+    def masks(self) -> list[int]:
+        return [self._given_masks[j] if j in self._given_masks
+                else _mask_from_coords(cs, self.n) for j, cs in enumerate(self._coords)]
+
+    def ids_containing(self, coord: int) -> tuple[int, ...]:
+        return self._rev.get(coord, ())
+
+    def member_id(self, q) -> int | None:
+        if isinstance(q, int):
+            masks = self.masks
+            return masks.index(q) if q in masks else None
+        return self._id_by_coords.get(_canonical(q, self.n))
+
+    def fingerprint(self) -> str:
+        return fingerprint_lines([f"n={self.n}"] + [" ".join(str(c) for c in cs)
+                                                    for cs in self._coords])
+
+
+def parse_sets_lines_by_token(lines) -> SetSystemBySet:
+    """The sets-file format read one token at a time with `int`."""
+    n = None
+    sets = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            if not line.startswith("n="):
+                raise ValueError("sets file must start with n=<int>")
+            n = int(line[2:])
+            continue
+        coords = list(map(int, line.split()))
+        if coords != sorted(coords):
+            raise ValueError(f"set indices must be ascending: {line!r}")
+        sets.append(coords)
+    if n is None:
+        raise ValueError("empty sets file")
+    return SetSystemBySet(n, sets)
 
 
 def hh_set(system, v) -> set[int]:

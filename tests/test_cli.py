@@ -319,6 +319,20 @@ def test_priority_weight_overflow_exits_2(tmp_path, sets_file):
     assert "beyond the float range" in run.stderr and "Traceback" not in run.stderr
 
 
+def test_priority_norm_past_the_float_sum_is_finite(tmp_path, capsys):
+    # |1e154|^2 + |1e154|^2 overflows as a plain sum, though the norm,
+    # sqrt(2) * 1e154, is a finite float
+    sets_path = tmp_path / "sets.txt"
+    sets_path.write_text("n=5\n1 2 3 4 5\n")
+    spath = _write_stream(tmp_path, "big.txt", ["# model=entrywise n=5", "3 1e154", "4 1e154"])
+    out = tmp_path / "x.json"
+    assert main(["build", "--sketch", "priority", "--p", "2", "--stream", spath,
+                 "--sets", str(sets_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["query", str(out), "1"]) == 0
+    assert capsys.readouterr().out == "1\t1.41421e+154\n"
+
+
 def test_zero_size_is_refused_not_defaulted(tmp_path, sets_file):
     # --k 0 and --n 0 are sizes no sketch takes, not requests for the default
     sets_path, _ = sets_file
@@ -478,7 +492,8 @@ def test_hhdim_command(tmp_path, capsys):
     assert mode == "exact" and 1 <= int(dim) <= 5
 
     # a random family past FAMILY_RANDOM_MAX_CELLS is refused before its draw
-    run = _main_in_child("hhdim", "--family", "random", "--n", "100000000", "--k", "3")
+    # (at an n the greedy takes, since a larger n is refused before any family)
+    run = _main_in_child("hhdim", "--family", "random", "--n", "200000", "--k", "200")
     assert run.returncode == 2, run.stderr
     assert "cells" in run.stderr and "Traceback" not in run.stderr
 
@@ -489,11 +504,13 @@ def test_hhdim_command(tmp_path, capsys):
     assert run.returncode == 2, run.stderr
     assert "n <= 262144" in run.stderr and "Traceback" not in run.stderr
 
-    # so is a singleton family past the sets any family may materialize,
-    # before one set is built
-    run = _main_in_child("hhdim", "--family", "singletons", "--n", "100000000")
-    assert run.returncode == 2, run.stderr
-    assert "singleton sets" in run.stderr and "Traceback" not in run.stderr
+    # so is a named family past GREEDY_MAX_N, before one set is built (500,000
+    # singletons hold about 250 MB); the greedy's refusal comes before the
+    # family's own cap on the sets it may materialize
+    for n in ("500000", "100000000"):
+        run = _main_in_child("hhdim", "--family", "singletons", "--n", n)
+        assert run.returncode == 2, run.stderr
+        assert f"n <= 262144, got {n}" in run.stderr and "Traceback" not in run.stderr
 
 
 def test_gen_command_round_trip(tmp_path, capsys):

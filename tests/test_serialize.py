@@ -544,3 +544,54 @@ def test_l1_clock_at_the_largest_tick_loads():
     assert state["state"]["clock"] == _largest_tick(state)  # nothing evicted yet
     state["state"]["clock"] += 5  # ticks may also have left every support
     assert sketch_from_state(state).clock == state["state"]["clock"]
+
+
+# ---------------------------------------------------------------------------
+# a state file's `system.sets`: the same systems and error texts as the
+# set-by-set build
+
+# Each outcome was recorded from the build that canonicalised one set at a
+# time (the reference `SetSystemBySet`): the kept sets, or the ValueError's text.
+# "huge n" is the one that changed: it raised OverflowError, a traceback in
+# the CLI.
+STATE_SETS = {
+    "as saved": ([[1, 2], [3]], [(1, 2), (3,)]),
+    "non-ascending": ([[2, 1], [3]], [(1, 2), (3,)]),
+    "repeats": ([[1, 1, 2], [3]], [(1, 2), (3,)]),
+    "duplicate sets": ([[1, 2], [1, 2], [3]], [(1, 2), (3,)]),
+    "float": ([[1.5], [3]], "field 'sets' must be a list of integer lists"),
+    "string": ([["x"], [3]], "field 'sets' must be a list of integer lists"),
+    "bool": ([[True], [3]], "field 'sets' must be a list of integer lists"),
+    "not a list": ([[1, 2], 3], "field 'sets' must be a list of integer lists"),
+    "beyond int64": ([[1, 99999999999999999999], [3]],
+                     "coordinate 99999999999999999999 outside universe [1, 4]"),
+    "zero": ([[0, 1], [3]], "coordinate 0 outside universe [1, 4]"),
+    "n + 1": ([[1, 5], [3]], "coordinate 5 outside universe [1, 4]"),
+    "no sets": ([], "set_system_fingerprint '2e32ea8c89af69a3' differs from the "
+                    "system's '0ce81bf7889c2af1'"),
+    "huge n": ([[1, 2 ** 70]], "set coordinates beyond int64 in a universe of 10"),
+}
+
+
+@pytest.mark.parametrize("case", list(STATE_SETS))
+def test_state_sets_results_and_errors_unchanged(tmp_path, capsys, case):
+    from subsetsketch.cli import main
+
+    sets, want = STATE_SETS[case]
+    state = sketch_state(PrioritySketch(SetSystem(4, [[1, 2], [3]]), 1.0, 3, 1))
+    state["system"]["sets"] = sets
+    if case == "huge n":
+        state["system"]["n"] = 10 ** 24
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    rc = main(["query", str(path), "2"])
+    err = capsys.readouterr().err
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as got:
+            sketch_from_state(state)
+        assert str(got.value).startswith(want)
+        assert rc == 2 and err.startswith(f"error: state file: {want}")
+    else:
+        system = sketch_from_state(state).system
+        assert [system.coords_of(j) for j in range(system.num_sets)] == want
+        assert rc == 0, err
